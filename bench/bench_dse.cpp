@@ -5,13 +5,8 @@
 // full DSE across both design families — the pipe-tiling searches
 // (baseline + heterogeneous under the baseline's budget) and the
 // temporal-blocked shift-register search — serially and at increasing
-// thread counts. Each (thread count, family) pair gets two rows:
-//
-//   cold — a fresh optimizer (empty eval cache): the real search cost.
-//   warm — the same searches replayed on the same optimizer, so every
-//          candidate is served from the eval cache. This is the
-//          memoization ceiling, and the row whose cache_hit_rate
-//          actually exercises the hit path (a cold run is ~all misses).
+// thread counts, each on a fresh optimizer. Each (thread count, family)
+// pair gets one row.
 //
 // Before any timing is trusted, the chosen designs — in both families —
 // are asserted bit-identical across thread counts AND with
@@ -27,7 +22,7 @@
 // device row fails CI even at sub-floor wall times.
 //
 // Output: a human-readable table on stdout plus one JSON row per
-// (kernel, thread count, mode, family[, device]) appended to
+// (kernel, thread count, family[, device]) appended to
 // BENCH_dse.json in the working directory, for the benchmark
 // trajectory.
 //
@@ -63,16 +58,12 @@ scl::core::DseStats diff(const scl::core::DseStats& after,
   scl::core::DseStats d = after;
   d.candidates_evaluated -= before.candidates_evaluated;
   d.candidates_pruned -= before.candidates_pruned;
-  d.cache_hits -= before.cache_hits;
-  d.cache_misses -= before.cache_misses;
   d.wall_seconds -= before.wall_seconds;
   return d;
 }
 
-/// One full DSE on `optimizer` — both families — reporting only this
-/// run's stat deltas, split per family. The counters (and the cache)
-/// accumulate across runs, which is exactly what the warm-replay row
-/// wants.
+/// One full DSE on `optimizer` — both families — reporting the stat
+/// deltas split per family.
 DseRun run_searches(const scl::core::Optimizer& optimizer) {
   scl::core::DseStats mark = optimizer.dse_stats();
   DseRun run;
@@ -118,10 +109,9 @@ bool same_designs(const DseRun& a, const DseRun& b) {
              b.temporal.prediction.total_cycles;
 }
 
-std::string json_row(const std::string& kernel, const char* mode,
-                     const char* family, const scl::core::DseStats& stats,
-                     double speedup, const std::string& device = "",
-                     int replication = 0) {
+std::string json_row(const std::string& kernel, const char* family,
+                     const scl::core::DseStats& stats, double speedup,
+                     const std::string& device = "", int replication = 0) {
   // Rows on the default device carry no "device" field so historical
   // perf-gate keys stay stable; device-tagged rows get a suffixed key
   // (and the gate fails hard when a tagged row vanishes).
@@ -132,12 +122,11 @@ std::string json_row(const std::string& kernel, const char* mode,
       replication > 0 ? scl::str_cat(",\"replication\":", replication)
                       : std::string();
   return scl::str_cat(
-      "{\"bench\":\"dse\",\"kernel\":\"", kernel, "\",\"mode\":\"", mode,
-      "\",\"family\":\"", family, "\"", device_field,
+      "{\"bench\":\"dse\",\"kernel\":\"", kernel, "\",\"mode\":\"cold\"",
+      ",\"family\":\"", family, "\"", device_field,
       ",\"threads\":", stats.threads,
       ",\"candidates\":", stats.candidates_evaluated,
       ",\"pruned\":", stats.candidates_pruned,
-      ",\"cache_hit_rate\":", scl::format_fixed(stats.cache_hit_rate(), 4),
       ",\"wall_seconds\":", scl::format_fixed(stats.wall_seconds, 4),
       ",\"candidates_per_sec\":",
       scl::format_fixed(stats.candidates_per_sec(), 1),
@@ -180,9 +169,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "hardware threads available: " << max_threads << "\n\n";
 
-  scl::TableWriter table({"Benchmark", "Threads", "Mode", "Family",
-                          "Candidates", "Pruned", "Cache hits", "Wall (s)",
-                          "Cand./s", "Speedup"});
+  scl::TableWriter table({"Benchmark", "Threads", "Family", "Candidates",
+                          "Pruned", "Wall (s)", "Cand./s", "Speedup"});
   std::ofstream json(json_path.empty() ? "BENCH_dse.json" : json_path,
                      json_path.empty() ? std::ios::app : std::ios::trunc);
   bool deterministic = true;
@@ -201,7 +189,6 @@ int main(int argc, char** argv) {
       std::cout << info.name << ": FAILED (" << e.what() << ")\n";
       continue;
     }
-    const DseRun serial_warm = run_searches(serial_optimizer);
 
     // Determinism half 2: branch-and-bound may only skip candidates that
     // provably cannot win, so the exhaustive search must choose the
@@ -217,61 +204,48 @@ int main(int argc, char** argv) {
 
     for (const int threads : thread_counts) {
       DseRun cold;
-      DseRun warm;
       if (threads == 1) {
         cold = serial_cold;
-        warm = serial_warm;
       } else {
         scl::core::OptimizerOptions options;
         options.threads = threads;
         const scl::core::Optimizer optimizer(program, options);
         cold = run_searches(optimizer);
-        warm = run_searches(optimizer);
         if (!same_designs(cold, serial_cold)) {
           std::cout << info.name << ": NONDETERMINISTIC at " << threads
                     << " threads\n";
           deterministic = false;
         }
       }
-      // Speedups compare like with like: cold vs serial cold, warm vs
-      // serial warm — per family, since the two searches sweep spaces of
-      // very different sizes.
+      // Speedups compare per family, since the two searches sweep spaces
+      // of very different sizes.
       auto speedup_vs = [](const scl::core::DseStats& run,
                            const scl::core::DseStats& base) {
         return run.wall_seconds > 0.0 ? base.wall_seconds / run.wall_seconds
                                       : 0.0;
       };
       const struct {
-        const char* mode;
         const char* family;
         const scl::core::DseStats* stats;
         double speedup;
       } rows[] = {
-          {"cold", "pipe-tiling", &cold.spatial_stats,
+          {"pipe-tiling", &cold.spatial_stats,
            speedup_vs(cold.spatial_stats, serial_cold.spatial_stats)},
-          {"cold", "temporal-shift", &cold.temporal_stats,
+          {"temporal-shift", &cold.temporal_stats,
            speedup_vs(cold.temporal_stats, serial_cold.temporal_stats)},
-          {"warm", "pipe-tiling", &warm.spatial_stats,
-           speedup_vs(warm.spatial_stats, serial_warm.spatial_stats)},
-          {"warm", "temporal-shift", &warm.temporal_stats,
-           speedup_vs(warm.temporal_stats, serial_warm.temporal_stats)},
       };
       for (const auto& row : rows) {
         const scl::core::DseStats& stats = *row.stats;
         table.add_row(
-            {info.name, std::to_string(threads), row.mode, row.family,
+            {info.name, std::to_string(threads), row.family,
              std::to_string(stats.candidates_evaluated),
              std::to_string(stats.candidates_pruned),
-             scl::str_cat(scl::format_fixed(100.0 * stats.cache_hit_rate(), 1),
-                          "%"),
              scl::format_fixed(stats.wall_seconds, 3),
              scl::format_thousands(
                  static_cast<long long>(stats.candidates_per_sec())),
              scl::format_speedup(row.speedup)});
         if (json) {
-          json << json_row(info.name, row.mode, row.family, stats,
-                           row.speedup)
-               << "\n";
+          json << json_row(info.name, row.family, stats, row.speedup) << "\n";
         }
       }
     }
@@ -336,8 +310,8 @@ int main(int argc, char** argv) {
                  static_cast<long long>(stats.candidates_per_sec())),
              std::to_string(row.replication)});
         if (json) {
-          json << json_row(info.name, "cold", row.family, stats, 1.0,
-                           device_name, row.replication)
+          json << json_row(info.name, row.family, stats, 1.0, device_name,
+                           row.replication)
                << "\n";
         }
       }
@@ -349,11 +323,9 @@ int main(int argc, char** argv) {
                     ? "determinism: all thread counts (and pruning on/off) "
                       "chose identical designs\n"
                     : "determinism: FAILED — see rows above\n")
-            << "\nNotes: cold rows start from an empty eval cache (the real\n"
-               "search cost); warm rows replay the same searches against the\n"
-               "populated cache (the memoization ceiling). Speedup compares\n"
-               "against the serial row of the same mode and is bounded by\n"
-               "the machine's core count (see 'hardware threads available'\n"
-               "above).\n";
+            << "\nNotes: every row runs on a fresh optimizer. Speedup\n"
+               "compares against the serial row of the same family and is\n"
+               "bounded by the machine's core count (see 'hardware threads\n"
+               "available' above).\n";
   return deterministic ? 0 : 1;
 }

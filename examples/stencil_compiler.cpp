@@ -177,8 +177,10 @@ int run_tool(const ToolConfig& cfg) {
     // "schema_version" itself and the "ir" section; v3 added the
     // "family" section and the per-frontier-point "family" member; v4
     // added the "device" section (banked memory model) and the
-    // per-frontier-point "replication" member.
-    json.member("schema_version", 4);
+    // per-frontier-point "replication" member; v5 dropped
+    // "dse.cache_hits" and "dse.cache_misses" (candidates are no longer
+    // memoized).
+    json.member("schema_version", 5);
     json.key("device").begin_object();
     json.member("name", options.optimizer.device.name);
     json.key("memory").begin_object();
@@ -208,8 +210,6 @@ int run_tool(const ToolConfig& cfg) {
     json.key("dse").begin_object();
     json.member("candidates_evaluated", report.dse.candidates_evaluated);
     json.member("candidates_pruned", report.dse.candidates_pruned);
-    json.member("cache_hits", report.dse.cache_hits);
-    json.member("cache_misses", report.dse.cache_misses);
     json.key("frontier").begin_array();
     for (const scl::core::DesignPoint& point : report.frontier) {
       json.begin_object();

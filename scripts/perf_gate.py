@@ -14,9 +14,9 @@ threshold (default 25%). Tracked metrics:
                  clears the ratchet
   bench=service  key (threads, mode)          metric warm_speedup
 
-The mode suffix ("", "/warm") distinguishes bench_dse's cold rows (fresh
-eval cache) from warm replays (fully cached); rows without a mode field
-are treated as cold, so pre-refactor baselines keep their keys. The
+bench_dse emits only cold rows (each search on a fresh optimizer). Rows
+without a mode field are treated as cold, so pre-refactor baselines keep
+their keys; a row with any other mode gets a "/<mode>" key suffix. The
 family suffix works the same way: pipe-tiling rows (and rows predating
 the design-family split, which were all pipe-tiling) keep the
 historical key, temporal-shift rows append "/temporal-shift". Service
@@ -53,7 +53,8 @@ Usage:
 
 The delta table goes to stdout and, when $GITHUB_STEP_SUMMARY is set, to
 the job summary as well. Exit status: 0 pass, 1 regression/missing key,
-2 usage or unreadable input.
+2 usage or unreadable input; tests/perf_gate_test.py (ctest
+perf_gate_test) checks these statuses on synthetic row pairs.
 """
 
 import argparse

@@ -1,7 +1,6 @@
 #include "core/evaluation_engine.hpp"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "analysis/analyzer.hpp"
 #include "codegen/opencl_emitter.hpp"
@@ -30,8 +29,7 @@ class WallTimer {
 
 support::obs::Counter& candidates_counter() {
   static auto& counter = support::obs::metrics().counter(
-      "scl_dse_candidates_total",
-      "design candidates evaluated (cache hits included)");
+      "scl_dse_candidates_total", "design candidates evaluated");
   return counter;
 }
 
@@ -47,45 +45,6 @@ support::obs::Histogram& batch_histogram() {
       "scl_dse_batch_ms", support::obs::default_latency_ms_buckets(),
       "wall time of one evaluate_batch/evaluate_chains call");
   return histogram;
-}
-
-/// Test-only brake for the CI perf gate: when the
-/// SCL_DSE_SYNTHETIC_SLOWDOWN_NS environment variable is set, every
-/// uncached evaluation busy-waits that many nanoseconds. Results are
-/// unchanged (evaluation stays pure); only throughput drops, which is
-/// exactly what scripts/perf_gate.py must detect.
-std::int64_t synthetic_slowdown_ns() {
-  static const std::int64_t ns = [] {
-    const char* env = std::getenv("SCL_DSE_SYNTHETIC_SLOWDOWN_NS");
-    if (env == nullptr) return std::int64_t{0};
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    return (end != env && *end == '\0' && parsed > 0)
-               ? static_cast<std::int64_t>(parsed)
-               : std::int64_t{0};
-  }();
-  return ns;
-}
-
-void apply_synthetic_slowdown() {
-  const std::int64_t ns = synthetic_slowdown_ns();
-  if (ns <= 0) return;
-  // Busy-wait: sleep granularity is far coarser than the ~µs-scale
-  // per-candidate cost this knob needs to inflate.
-  const auto until =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < until) {
-  }
-}
-
-DesignPoint to_point(const DesignConfig& config,
-                     const CachedEvaluation& eval) {
-  DesignPoint point;
-  point.config = config;
-  point.prediction = eval.prediction;
-  point.resources = eval.resources;
-  point.analysis_errors = eval.analysis_errors;
-  return point;
 }
 
 }  // namespace
@@ -108,7 +67,7 @@ EvaluationEngine::EvaluationEngine(
   pool_ = std::make_unique<ThreadPool>(resolved);
 }
 
-CachedEvaluation EvaluationEngine::compute(const DesignConfig& config) const {
+DesignPoint EvaluationEngine::compute(const DesignConfig& config) const {
   // worker_slot() is scoped to whichever pool owns the calling thread.
   // When evaluation is driven from a foreign pool's worker — the batched
   // synthesis service runs entire syntheses as scheduler jobs — the slot
@@ -117,13 +76,13 @@ CachedEvaluation EvaluationEngine::compute(const DesignConfig& config) const {
   // shares a read-only instance.
   const auto slot = static_cast<std::size_t>(ThreadPool::worker_slot()) %
                     perf_models_.size();
-  apply_synthetic_slowdown();
-  CachedEvaluation eval;
-  eval.prediction = perf_models_[slot].predict(config);
-  eval.resources =
+  DesignPoint point;
+  point.config = config;
+  point.prediction = perf_models_[slot].predict(config);
+  point.resources =
       estimate_design_resources(*program_, config, resource_models_[slot]);
   if (analyze_candidates_) {
-    eval.analysis_errors =
+    point.analysis_errors =
         analysis::analyze_design(*program_, config, device_).error_count();
     if (deep_ir_analysis_) {
       // Deep mode: emit the candidate's actual OpenCL and run the pass-4
@@ -134,25 +93,19 @@ CachedEvaluation EvaluationEngine::compute(const DesignConfig& config) const {
             codegen::generate_opencl(*program_, config, device_);
         support::DiagnosticEngine diags;
         verify_generated_ir(*program_, config, code, &diags);
-        eval.analysis_errors += diags.error_count();
+        point.analysis_errors += diags.error_count();
       } catch (const Error&) {
-        eval.analysis_errors += 1;
+        point.analysis_errors += 1;
       }
     }
   }
-  return eval;
-}
-
-DesignPoint EvaluationEngine::evaluate_one(const DesignConfig& config) {
-  const CachedEvaluation eval = cache_.find_or_compute(
-      config.key(), [&] { return compute(config); });
-  return to_point(config, eval);
+  return point;
 }
 
 DesignPoint EvaluationEngine::evaluate(const DesignConfig& config) {
   evaluated_.fetch_add(1, std::memory_order_relaxed);
   if (support::obs::enabled()) candidates_counter().increment();
-  return evaluate_one(config);
+  return compute(config);
 }
 
 std::vector<DesignPoint> EvaluationEngine::evaluate_batch(
@@ -166,7 +119,7 @@ std::vector<DesignPoint> EvaluationEngine::evaluate_batch(
       [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
           const auto s = static_cast<std::size_t>(i);
-          out[s] = evaluate_one(configs[s]);
+          out[s] = compute(configs[s]);
         }
         // One counter flush per block, not per candidate.
         evaluated_.fetch_add(end - begin, std::memory_order_relaxed);
@@ -203,7 +156,7 @@ std::vector<DesignPoint> EvaluationEngine::evaluate_chains(
             std::vector<DesignPoint>& feasible = per_chain[s];
             for (const DesignConfig& config : chains[s].configs) {
               ++walked;
-              DesignPoint point = evaluate_one(config);
+              DesignPoint point = compute(config);
               if (!point.resources.total.fits_within(budget)) break;
               // Verifier-flagged candidates are skipped, not
               // early-exited: unlike resource use, diagnostics are not
@@ -240,19 +193,10 @@ DseStats EvaluationEngine::stats() const {
   DseStats stats;
   stats.candidates_evaluated = evaluated_.load(std::memory_order_relaxed);
   stats.candidates_pruned = pruned_.load(std::memory_order_relaxed);
-  stats.cache_hits = cache_.hits();
-  stats.cache_misses = cache_.misses();
   stats.wall_seconds =
       static_cast<double>(wall_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   stats.threads = pool_->thread_count();
   return stats;
-}
-
-void EvaluationEngine::reset_stats() {
-  evaluated_.store(0, std::memory_order_relaxed);
-  pruned_.store(0, std::memory_order_relaxed);
-  wall_nanos_.store(0, std::memory_order_relaxed);
-  cache_.clear();
 }
 
 void EvaluationEngine::add_wall_seconds(double seconds) {

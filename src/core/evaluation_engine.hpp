@@ -1,11 +1,13 @@
-// Parallel, memoizing candidate evaluation for design-space exploration.
+// Parallel candidate evaluation for design-space exploration.
 //
 // The engine is the stateless counterpart to CandidateSpace: it turns
 // DesignConfigs into DesignPoints (prediction + resources) and knows
 // nothing about search policy. Each worker slot owns its own PerfModel
 // and ResourceModel instance, so evaluation never locks shared model
-// state; the only shared structures are the memoizing EvalCache (sharded,
-// see eval_cache.hpp) and the atomic statistics counters.
+// state; the only shared structures are the atomic statistics counters.
+// Every candidate is evaluated directly: the closed-form models cost a
+// few microseconds, and the searches revisit few configs, so memoizing
+// them would cost more than it saves.
 //
 // Determinism contract: evaluation is a pure function of the config, the
 // pool writes results by index, and chains are concatenated in enumeration
@@ -19,7 +21,6 @@
 #include <vector>
 
 #include "core/candidate_space.hpp"
-#include "core/eval_cache.hpp"
 #include "core/resource_estimator.hpp"
 #include "fpga/device.hpp"
 #include "model/perf_model.hpp"
@@ -33,17 +34,15 @@ struct DesignPoint;
 
 /// Aggregated DSE counters for reporting (core/report.cpp renders them).
 struct DseStats {
-  std::int64_t candidates_evaluated = 0;  ///< cache hits + misses
-  std::int64_t candidates_pruned = 0;     ///< skipped via lower bounds
+  std::int64_t candidates_evaluated = 0;
+  std::int64_t candidates_pruned = 0;  ///< skipped via lower bounds
+  /// Always 0: candidates are no longer memoized. Kept only because the
+  /// end-to-end benchmark (perfbench/src/suite.cpp) still reads it; it
+  /// goes with that benchmark's next revision.
   std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
   double wall_seconds = 0.0;  ///< time inside batch/chain evaluation
   int threads = 1;
 
-  double cache_hit_rate() const {
-    const auto total = static_cast<double>(candidates_evaluated);
-    return total > 0.0 ? static_cast<double>(cache_hits) / total : 0.0;
-  }
   double candidates_per_sec() const {
     return wall_seconds > 0.0
                ? static_cast<double>(candidates_evaluated) / wall_seconds
@@ -66,8 +65,7 @@ class EvaluationEngine {
                    int threads, bool analyze_candidates = false,
                    bool deep_ir_analysis = false);
 
-  /// Evaluates one configuration through the cache (always on the calling
-  /// thread). Thread-safe.
+  /// Evaluates one configuration on the calling thread. Thread-safe.
   DesignPoint evaluate(const sim::DesignConfig& config);
 
   /// Evaluates every config on the pool in contiguous blocks of
@@ -94,12 +92,9 @@ class EvaluationEngine {
       const fpga::ResourceVector& budget);
 
   int threads() const { return pool_->thread_count(); }
-  EvalCache& cache() { return cache_; }
-  const EvalCache& cache() const { return cache_; }
 
-  /// Counters since construction (or the last reset_stats()).
+  /// Counters since construction.
   DseStats stats() const;
-  void reset_stats();
 
   /// Credits `n` branch-and-bound prunes to the stats (and the
   /// scl_dse_pruned_total metric). The Optimizer calls this once per
@@ -107,11 +102,10 @@ class EvaluationEngine {
   void add_pruned(std::int64_t n);
 
  private:
-  /// Cached evaluation without touching the evaluated-candidates
-  /// counters; the chunked loops flush those once per block.
-  DesignPoint evaluate_one(const sim::DesignConfig& config);
-  /// Uncached evaluation on this worker slot's own models.
-  CachedEvaluation compute(const sim::DesignConfig& config) const;
+  /// Evaluation on this worker slot's own models, without touching the
+  /// evaluated-candidates counters; the chunked loops flush those once
+  /// per block.
+  DesignPoint compute(const sim::DesignConfig& config) const;
   void add_wall_seconds(double seconds);
 
   const scl::stencil::StencilProgram* program_;
@@ -123,7 +117,6 @@ class EvaluationEngine {
   std::vector<model::PerfModel> perf_models_;
   std::vector<fpga::ResourceModel> resource_models_;
   std::unique_ptr<ThreadPool> pool_;
-  EvalCache cache_;
   std::atomic<std::int64_t> evaluated_{0};
   std::atomic<std::int64_t> pruned_{0};
   std::atomic<std::int64_t> wall_nanos_{0};

@@ -176,9 +176,7 @@ std::string SynthesisReport::to_string() const {
   }
   if (dse.candidates_evaluated > 0) {
     out += str_cat("DSE: ", format_thousands(dse.candidates_evaluated),
-                   " candidates, ",
-                   format_fixed(100.0 * dse.cache_hit_rate(), 1),
-                   "% cache hits, ", dse.threads, " thread(s), ",
+                   " candidates, ", dse.threads, " thread(s), ",
                    format_fixed(dse.wall_seconds, 2), " s\n");
   }
   return out;

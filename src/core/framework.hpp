@@ -76,7 +76,7 @@ struct SynthesisReport {
   }
 
   /// DSE evaluation counters over both searches: candidates evaluated,
-  /// pruned, cache hit rate, throughput, wall-clock, worker threads.
+  /// pruned, throughput, wall-clock, worker threads.
   DseStats dse;
 
   /// The (cycles, BRAM18) Pareto front of the feasible designs the

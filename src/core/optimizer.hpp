@@ -14,7 +14,7 @@
 //    the model.
 //
 // Internally the search is split into a pure CandidateSpace enumerator
-// and a parallel, memoizing EvaluationEngine (see candidate_space.hpp,
+// and a parallel EvaluationEngine (see candidate_space.hpp,
 // evaluation_engine.hpp). Candidates are evaluated concurrently on a
 // thread pool, collected in enumeration order, and selected by an
 // explicit deterministic comparator — so explore results, Pareto
@@ -111,7 +111,6 @@ class Optimizer {
 
   /// Evaluates one configuration (prediction + resources) without
   /// feasibility filtering. Useful for sweeps and ablation studies.
-  /// Memoized: repeated calls with the same config hit the eval cache.
   DesignPoint evaluate(const sim::DesignConfig& config) const;
 
   /// All budget-feasible designs of `kind` that are Pareto-optimal in
@@ -132,7 +131,7 @@ class Optimizer {
   const OptimizerOptions& options() const { return options_; }
   const CandidateSpace& space() const { return space_; }
 
-  /// Evaluation counters (candidates, cache hits, wall-clock) accumulated
+  /// Evaluation counters (candidates, prunes, wall-clock) accumulated
   /// over every search this optimizer ran.
   DseStats dse_stats() const { return engine_.stats(); }
 
@@ -172,8 +171,8 @@ class Optimizer {
   const scl::stencil::StencilProgram* program_;
   OptimizerOptions options_;
   CandidateSpace space_;
-  /// Mutable: the engine's cache and counters advance under const
-  /// searches; evaluation itself is pure.
+  /// Mutable: the engine's counters advance under const searches;
+  /// evaluation itself is pure.
   mutable EvaluationEngine engine_;
   /// Mutable for the same reason: a by-product of const searches.
   mutable ParetoFront retained_;

@@ -142,10 +142,6 @@ std::string render_markdown_report(const SynthesisReport& report,
     TableWriter table({"metric", "value"});
     table.add_row({"candidates evaluated",
                    format_thousands(report.dse.candidates_evaluated)});
-    table.add_row(
-        {"cache hits", str_cat(format_thousands(report.dse.cache_hits), " (",
-                               format_fixed(100.0 * report.dse.cache_hit_rate(), 1),
-                               "%)")});
     // Deterministic (the bound/keep phase is serial), so not gated on
     // include_timing like the throughput rows.
     table.add_row({"candidates pruned",

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "frontend/lexer.hpp"
@@ -20,6 +22,23 @@ using scl::stencil::Offset;
 using scl::stencil::StencilProgram;
 
 namespace {
+
+/// Parses the integer literal `text` found at `line`. Rejects literals
+/// that do not fit std::int64_t or carry trailing characters with the
+/// line-anchored import error (std::stoll alone would leak
+/// std::out_of_range past the scl::Error contract).
+std::int64_t parse_int_literal(const std::string& text, int line) {
+  std::size_t used = 0;
+  long long value = 0;
+  try {
+    value = std::stoll(text, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used > 0 && used == text.size()) return value;
+  throw Error(str_cat("OpenCL import error at line ", line,
+                      ": bad integer literal '", text, "'"));
+}
 
 // ---------------------------------------------------------------------------
 // Expression AST (value expressions and affine index expressions share it).
@@ -180,11 +199,12 @@ class Parser {
       }
       expect("(");
       if (peek().kind != TokenKind::kNumber) fail("dimension literal");
-      const int dim = static_cast<int>(std::stoll(advance().text));
+      const Token& literal = advance();
+      const std::int64_t dim = parse_int_literal(literal.text, literal.line);
       expect(")");
       expect(";");
       if (dim < 0 || dim > 2) fail("get_global_id dimension must be 0..2");
-      k->ivars[name] = dim;
+      k->ivars[name] = static_cast<int>(dim);
       return;
     }
     if (accept("float")) {
@@ -327,7 +347,7 @@ std::int64_t eval_index(const Expr& e,
         throw Error(str_cat("OpenCL import error at line ", line,
                             ": float literal in array index"));
       }
-      return std::stoll(e.spelling);
+      return parse_int_literal(e.spelling, line);
     }
     case Expr::Kind::kVar: {
       auto it = env.find(e.var);

@@ -49,8 +49,7 @@ struct Prediction {
 /// state on the stack — concurrent predict() calls on one instance, or on
 /// per-worker instances sharing the same program, need no locking. The
 /// parallel design-space exploration (core::EvaluationEngine) relies on
-/// this; do not add mutable caches here without a lock (memoization
-/// belongs in core::EvalCache).
+/// this; do not add mutable caches here without a lock.
 class PerfModel {
  public:
   PerfModel(const scl::stencil::StencilProgram& program,

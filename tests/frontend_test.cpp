@@ -257,6 +257,32 @@ TEST(OclImportTest, RejectsKernelWithoutStore) {
                Error);
 }
 
+TEST(OclImportTest, RejectsOverlongGlobalIdDimension) {
+  // 20 digits overflow std::int64_t: the import must report it as an
+  // scl::Error, not leak std::out_of_range.
+  const char* src = R"(
+__kernel void bad(__global const float* A, __global float* B, const int N) {
+  int i = get_global_id(12345678901234567890);
+  B[i] = A[i];
+}
+)";
+  OpenClImportOptions o;
+  o.extents = {16, 1, 1};
+  EXPECT_THROW(import_opencl(src, o), Error);
+}
+
+TEST(OclImportTest, RejectsOverlongIndexLiteral) {
+  const char* src = R"(
+__kernel void bad(__global const float* A, __global float* B, const int N) {
+  int i = get_global_id(0);
+  B[i] = A[i + 12345678901234567890];
+}
+)";
+  OpenClImportOptions o;
+  o.extents = {16, 1, 1};
+  EXPECT_THROW(import_opencl(src, o), Error);
+}
+
 TEST(OclImportTest, RejectsUnknownStatement) {
   const char* src = R"(
 __kernel void bad(__global float* A, const int N) {

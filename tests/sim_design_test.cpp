@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "sim/design.hpp"
 #include "sim/region.hpp"
 #include "sim/timeline.hpp"
@@ -92,6 +95,47 @@ TEST(DesignConfigTest, SummaryIsReadable) {
   EXPECT_NE(s.find("h=8"), std::string::npos);
   EXPECT_NE(s.find("32x32"), std::string::npos);
   EXPECT_NE(s.find("4x4"), std::string::npos);
+}
+
+TEST(DesignConfigTest, DistinctConfigsGetDistinctKeys) {
+  // Every axis of the design space must feed the key: sweep each field
+  // and assert no two generated configs collide.
+  std::vector<DesignConfig> configs;
+  for (const std::int64_t h : {1, 2, 4}) {
+    for (const int k : {1, 2, 4}) {
+      for (const std::int64_t w : {32, 64}) {
+        for (const int unroll : {1, 2}) {
+          for (const std::int64_t shrink : {0, 1}) {
+            DesignConfig c;
+            c.kind = shrink > 0 ? DesignKind::kHeterogeneous
+                                : DesignKind::kBaseline;
+            c.fused_iterations = h;
+            c.parallelism = {k, 4, 1};
+            c.tile_size = {w, 32, 1};
+            c.edge_shrink = {0, shrink, 0};
+            c.unroll = unroll;
+            configs.push_back(c);
+          }
+        }
+      }
+    }
+  }
+  // Both kinds of an otherwise identical config must also differ.
+  DesignConfig het = configs.front();
+  het.kind = DesignKind::kHeterogeneous;
+  configs.push_back(het);
+
+  std::set<DesignKey> keys;
+  for (const DesignConfig& c : configs) keys.insert(c.key());
+  EXPECT_EQ(keys.size(), configs.size());
+}
+
+TEST(DesignConfigTest, EqualConfigsGetEqualKeys) {
+  const DesignConfig a = hetero2d(4, 2, 64);
+  DesignConfig b = hetero2d(4, 2, 64);
+  EXPECT_EQ(a.key(), b.key());
+  b.unroll = 2;
+  EXPECT_NE(a.key(), b.key());
 }
 
 // --- RegionGrid ------------------------------------------------------------
