@@ -1,7 +1,7 @@
 #include "analysis/ir/dataflow.hpp"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -64,27 +64,50 @@ struct IntervalUnion {
   }
 };
 
-/// One kernel's facts accumulated across every sampled environment.
+/// One host enqueue: region origins r0..r2 and pass depth pass_h.
+using HostSample = std::array<std::int64_t, 4>;
+
+/// The host parameters, in HostSample order.
+constexpr std::array<const char*, 4> kHostParams{"r0", "r1", "r2", "pass_h"};
+
+/// A local-buffer load as the walk evaluated it, with the host parameters
+/// bound at the time (for the diagnostic note).
+struct LocalLoad {
+  const ArrayRef* ref;
+  Interval index;
+  HostSample host;
+};
+
+/// One kernel's facts accumulated across every sampled environment,
+/// indexed like Kernel::locals / Kernel::global_outputs.
 struct KernelFacts {
-  std::map<std::string, IntervalUnion, std::less<>> written;  ///< local buffers
-  std::set<std::string, std::less<>> stored_buffers;
-  std::set<std::string, std::less<>> loaded_buffers;
-  std::set<std::string, std::less<>> stored_globals;
+  std::vector<IntervalUnion> written;  ///< local buffers
+  std::vector<char> stored_locals;
+  std::vector<char> loaded_locals;
+  std::vector<char> stored_outputs;
   /// Loop statement lines: every loop seen, and those whose body ran
   /// under at least one sampled environment.
   std::set<int> loops_seen;
   std::set<int> loops_executed;
+  /// Every local-buffer load evaluation, in walk order: the SCL403 check
+  /// needs the complete written hull, so it replays these afterwards.
+  std::vector<LocalLoad> local_loads;
 };
 
 class ModuleAnalyzer {
  public:
   ModuleAnalyzer(const Module& module, const IrContext& ctx,
                  support::DiagnosticEngine* diags)
-      : module_(module), ctx_(ctx), diags_(diags) {}
+      : module_(module), ctx_(ctx), diags_(diags), env_(module.slots) {
+    for (std::size_t i = 0; i < kHostParams.size(); ++i) {
+      host_slots_[i] = module.slot_of(kHostParams[i]);
+    }
+    it_slot_ = module.slot_of("it");
+  }
 
   void run() {
     report_unmodeled();
-    build_environments();
+    build_samples();
     for (const Kernel& kernel : module_.kernels) {
       analyze_kernel(kernel);
     }
@@ -158,7 +181,7 @@ class ModuleAnalyzer {
   /// origins must vary *jointly* — flattened indices sum per-dimension
   /// contributions, so independent wide intervals would lose the
   /// correlation between a loop's range and the buffer origin macro.
-  void build_environments() {
+  void build_samples() {
     std::array<std::vector<std::int64_t>, 3> per_dim;
     for (int d = 0; d < 3; ++d) {
       per_dim[static_cast<std::size_t>(d)] =
@@ -168,33 +191,66 @@ class ModuleAnalyzer {
       for (const std::int64_t r1 : per_dim[1]) {
         for (const std::int64_t r2 : per_dim[2]) {
           for (const std::int64_t ph : pass_samples()) {
-            IntervalEnv env;
-            env["r0"] = Interval::point(r0);
-            env["r1"] = Interval::point(r1);
-            env["r2"] = Interval::point(r2);
-            env["pass_h"] = Interval::point(ph);
-            envs_.push_back(std::move(env));
+            samples_.push_back({r0, r1, r2, ph});
           }
         }
       }
     }
   }
 
-  static std::string env_summary(const IntervalEnv& env) {
-    return str_cat("r0=", env.at("r0").lo, " r1=", env.at("r1").lo,
-                   " r2=", env.at("r2").lo, " pass_h=",
-                   env.at("pass_h").lo);
+  /// Resets the environment to `sample`: the host parameters bound to
+  /// points, every other slot unbound.
+  void bind_sample(const HostSample& sample) {
+    sample_ = sample;
+    env_.clear();
+    for (std::size_t i = 0; i < kHostParams.size(); ++i) {
+      if (host_slots_[i] >= 0) {
+        env_.bind(host_slots_[i], Interval::point(sample[i]));
+      }
+    }
+  }
+
+  /// bind_sample plus the fused-iteration counter `it` as the interval
+  /// [1, pass_h]: the walks' view, sound for indices and cheap.
+  void bind_walk_sample(const HostSample& sample) {
+    bind_sample(sample);
+    if (it_slot_ >= 0) env_.bind(it_slot_, {1, sample[3]});
+  }
+
+  /// The host parameters as the environment currently binds them.
+  HostSample bound_host() const {
+    HostSample v = sample_;
+    for (std::size_t i = 0; i < kHostParams.size(); ++i) {
+      if (host_slots_[i] >= 0 && env_.binding(host_slots_[i]).bound) {
+        v[i] = env_.binding(host_slots_[i]).value.lo;
+      }
+    }
+    return v;
+  }
+
+  static std::string host_summary(const HostSample& v) {
+    return str_cat("under r0=", v[0], " r1=", v[1], " r2=", v[2],
+                   " pass_h=", v[3]);
   }
 
   // ---- per-kernel analysis --------------------------------------------
 
   void analyze_kernel(const Kernel& kernel) {
     KernelFacts facts;
-    buffer_sizes_.clear();
+    facts.written.resize(kernel.locals.size());
+    facts.stored_locals.assign(kernel.locals.size(), 0);
+    facts.loaded_locals.assign(kernel.locals.size(), 0);
+    facts.stored_outputs.assign(kernel.global_outputs.size(), 0);
+
+    // Sizes evaluate with nothing bound; a later declaration of the same
+    // name overrides an earlier one.
+    local_sizes_.assign(kernel.locals.size(), std::nullopt);
+    env_.clear();
     for (const Buffer& buffer : kernel.locals) {
       try {
-        const Interval size = eval_expr(buffer.size, IntervalEnv{});
-        buffer_sizes_[buffer.name] = size.lo;
+        const Interval size = eval_expr(buffer.size, env_);
+        local_sizes_[static_cast<std::size_t>(
+            first_named(kernel.locals, buffer.name))] = size.lo;
       } catch (const Error& e) {
         emit("SCL409", support::Severity::kWarning, kernel.name, buffer.name,
              buffer.line,
@@ -203,29 +259,23 @@ class ModuleAnalyzer {
       }
     }
 
-    // Walk 1 per environment: index checks + fact accumulation. The
-    // fused-iteration counter stays abstract ([1, pass_h]) — sound for
-    // indices and cheap.
-    for (const IntervalEnv& base : envs_) {
-      IntervalEnv env = base;
-      const Interval ph = env.at("pass_h");
-      env["it"] = {1, ph.hi};
-      walk_collect(kernel, kernel.body, env, &facts);
+    // One walk per environment: index checks + fact accumulation.
+    for (const HostSample& sample : samples_) {
+      bind_walk_sample(sample);
+      walk(kernel, kernel.body, &facts);
     }
 
-    // Walk 2 per environment: uninitialized-read checks need the complete
-    // written hull, so they run after every store has been seen.
-    for (const IntervalEnv& base : envs_) {
-      IntervalEnv env = base;
-      const Interval ph = env.at("pass_h");
-      env["it"] = {1, ph.hi};
-      walk_uninit(kernel, kernel.body, env, facts);
+    // Uninitialized reads need the complete written hull, so the loads
+    // are checked after every store has been seen.
+    for (const LocalLoad& load : facts.local_loads) {
+      check_uninit(kernel, load, facts);
     }
 
     // Whole-kernel verdicts.
     for (const Buffer& buffer : kernel.locals) {
-      if (facts.stored_buffers.count(buffer.name) != 0 &&
-          facts.loaded_buffers.count(buffer.name) == 0) {
+      const auto first =
+          static_cast<std::size_t>(first_named(kernel.locals, buffer.name));
+      if (facts.stored_locals[first] != 0 && facts.loaded_locals[first] == 0) {
         support::Diagnostic* diag = emit(
             "SCL404", support::Severity::kError, kernel.name, buffer.name,
             buffer.line,
@@ -238,7 +288,8 @@ class ModuleAnalyzer {
       }
     }
     for (const std::string& global : kernel.global_outputs) {
-      if (facts.stored_globals.count(global) == 0) {
+      if (facts.stored_outputs[static_cast<std::size_t>(
+              first_named(kernel.global_outputs, global))] == 0) {
         emit("SCL408", support::Severity::kError, kernel.name, global,
              kernel.line,
              str_cat("__global output '", global,
@@ -262,39 +313,46 @@ class ModuleAnalyzer {
     }
   }
 
-  /// Evaluates one index, reporting SCL401/402/405; returns the interval
-  /// or nullopt when evaluation failed (already reported as SCL409).
-  std::optional<Interval> check_ref(const Kernel& kernel, const ArrayRef& ref,
-                                    bool is_store, const IntervalEnv& env,
-                                    KernelFacts* facts) {
+  /// The local buffer `ref` addresses when its size is known, else -1.
+  int sized_local(const ArrayRef& ref) const {
+    return ref.local >= 0 &&
+                   local_sizes_[static_cast<std::size_t>(ref.local)].has_value()
+               ? ref.local
+               : -1;
+  }
+
+  /// Evaluates one index, reporting SCL401/402/405, and records it in
+  /// `facts`.
+  void check_ref(const Kernel& kernel, const ArrayRef& ref, bool is_store,
+                 KernelFacts* facts) {
     bool int32_overflow = false;
     Interval idx;
     try {
-      idx = eval_expr(ref.index, env, &int32_overflow);
+      idx = eval_expr(ref.index, env_, &int32_overflow);
     } catch (const Error& e) {
       emit("SCL409", support::Severity::kWarning, kernel.name,
            str_cat(ref.array, "@", ref.line), ref.line,
            str_cat("index of '", ref.array,
                    "' could not be evaluated: ", e.what()));
-      return std::nullopt;
+      return;
     }
     if (int32_overflow) {
       support::Diagnostic* diag =
           emit("SCL405", support::Severity::kError, kernel.name,
                str_cat(ref.array, "@", ref.line), ref.line,
                str_cat("index arithmetic for '", ref.array, "[",
-                       ref.index.to_string(),
+                       ref.index.to_string(module_.slots),
                        "]' can exceed 32-bit signed range"));
       if (diag != nullptr) {
         diag->notes.push_back(
             "OpenCL `int` is 32 bits; the emitted expression wraps on the "
             "device");
-        diag->notes.push_back(str_cat("under ", env_summary(env)));
+        diag->notes.push_back(host_summary(bound_host()));
       }
     }
-    const auto size_it = buffer_sizes_.find(ref.array);
-    if (size_it != buffer_sizes_.end()) {
-      const std::int64_t size = size_it->second;
+    const int local = sized_local(ref);
+    if (local >= 0) {
+      const std::int64_t size = *local_sizes_[static_cast<std::size_t>(local)];
       if (idx.lo < 0 || idx.hi >= size) {
         support::Diagnostic* diag = emit(
             "SCL401", support::Severity::kError, kernel.name,
@@ -304,11 +362,11 @@ class ModuleAnalyzer {
                     "], outside [0, ", size, ")"));
         if (diag != nullptr) {
           diag->notes.push_back(str_cat("emitted index: ",
-                                        ref.index.to_string()));
-          diag->notes.push_back(str_cat("under ", env_summary(env)));
+                                        ref.index.to_string(module_.slots)));
+          diag->notes.push_back(host_summary(bound_host()));
         }
       }
-    } else if (is_global(kernel, ref.array)) {
+    } else if (ref.global) {
       const std::int64_t cells = ctx_.grid_cells();
       if (idx.lo < 0 || idx.hi >= cells) {
         support::Diagnostic* diag = emit(
@@ -319,43 +377,37 @@ class ModuleAnalyzer {
                     "], outside the grid's [0, ", cells, ")"));
         if (diag != nullptr) {
           diag->notes.push_back(str_cat("emitted index: ",
-                                        ref.index.to_string()));
-          diag->notes.push_back(str_cat("under ", env_summary(env)));
+                                        ref.index.to_string(module_.slots)));
+          diag->notes.push_back(host_summary(bound_host()));
         }
       }
     }
-    if (facts != nullptr) {
+    if (local >= 0) {
+      const auto l = static_cast<std::size_t>(local);
       if (is_store) {
-        if (size_it != buffer_sizes_.end()) {
-          facts->stored_buffers.insert(ref.array);
-          facts->written[ref.array].add(idx);
-        } else {
-          facts->stored_globals.insert(ref.array);
-        }
-      } else if (size_it != buffer_sizes_.end()) {
-        facts->loaded_buffers.insert(ref.array);
+        facts->stored_locals[l] = 1;
+        facts->written[l].add(idx);
+      } else {
+        facts->loaded_locals[l] = 1;
+        facts->local_loads.push_back({&ref, idx, bound_host()});
       }
+    } else if (is_store && ref.output >= 0) {
+      facts->stored_outputs[static_cast<std::size_t>(ref.output)] = 1;
     }
-    return idx;
   }
 
-  static bool is_global(const Kernel& kernel, const std::string& name) {
-    const auto in = [&](const std::vector<std::string>& v) {
-      return std::find(v.begin(), v.end(), name) != v.end();
-    };
-    return in(kernel.global_inputs) || in(kernel.global_outputs);
-  }
-
-  /// Loop-range evaluation shared by both walks. Returns false when the
-  /// body provably never executes under `env` (and records emptiness).
-  bool enter_loop(const Kernel& kernel, const Stmt& loop, IntervalEnv* env,
-                  KernelFacts* facts, Interval* saved, bool* had_var) {
-    if (facts != nullptr) facts->loops_seen.insert(loop.line);
+  /// Loop-range evaluation. Returns false when the body provably never
+  /// executes under the current environment (and records emptiness);
+  /// otherwise binds the loop variable to its range, saving its previous
+  /// binding in `saved`.
+  bool enter_loop(const Kernel& kernel, const Stmt& loop, KernelFacts* facts,
+                  SlotEnv::Binding* saved) {
+    facts->loops_seen.insert(loop.line);
     Interval lo;
     Interval hi;
     try {
-      lo = eval_expr(loop.lo, *env);
-      hi = eval_expr(loop.hi, *env);
+      lo = eval_expr(loop.lo, env_);
+      hi = eval_expr(loop.hi, env_);
     } catch (const Error& e) {
       emit("SCL409", support::Severity::kWarning, kernel.name,
            str_cat("loop@", loop.line), loop.line,
@@ -365,42 +417,29 @@ class ModuleAnalyzer {
     }
     const std::int64_t var_max = loop.inclusive ? hi.hi : hi.hi - 1;
     if (lo.lo > var_max) return false;  // empty range: body unreachable
-    if (facts != nullptr) facts->loops_executed.insert(loop.line);
-    const auto it = env->find(loop.var);
-    *had_var = it != env->end();
-    if (*had_var) *saved = it->second;
-    (*env)[loop.var] = {lo.lo, var_max};
+    facts->loops_executed.insert(loop.line);
+    *saved = env_.binding(loop.var);
+    env_.bind(loop.var, {lo.lo, var_max});
     return true;
   }
 
-  void leave_loop(const Stmt& loop, IntervalEnv* env, const Interval& saved,
-                  bool had_var) {
-    if (had_var) {
-      (*env)[loop.var] = saved;
-    } else {
-      env->erase(loop.var);
-    }
-  }
-
-  void walk_collect(const Kernel& kernel, const StmtList& stmts,
-                    IntervalEnv& env, KernelFacts* facts) {
+  void walk(const Kernel& kernel, const StmtList& stmts, KernelFacts* facts) {
     for (const Stmt& stmt : stmts) {
       switch (stmt.kind) {
         case Stmt::Kind::kLoop: {
-          Interval saved;
-          bool had_var = false;
-          if (enter_loop(kernel, stmt, &env, facts, &saved, &had_var)) {
-            walk_collect(kernel, stmt.body, env, facts);
-            leave_loop(stmt, &env, saved, had_var);
+          SlotEnv::Binding saved;
+          if (enter_loop(kernel, stmt, facts, &saved)) {
+            walk(kernel, stmt.body, facts);
+            env_.restore(stmt.var, saved);
           }
           break;
         }
         case Stmt::Kind::kStore:
           if (stmt.store.has_value()) {
-            check_ref(kernel, *stmt.store, /*is_store=*/true, env, facts);
+            check_ref(kernel, *stmt.store, /*is_store=*/true, facts);
           }
           for (const ArrayRef& load : stmt.loads) {
-            check_ref(kernel, load, /*is_store=*/false, env, facts);
+            check_ref(kernel, load, /*is_store=*/false, facts);
           }
           break;
         case Stmt::Kind::kPipeRead:
@@ -412,193 +451,130 @@ class ModuleAnalyzer {
     }
   }
 
-  void walk_uninit(const Kernel& kernel, const StmtList& stmts,
-                   IntervalEnv& env, const KernelFacts& facts) {
-    for (const Stmt& stmt : stmts) {
-      switch (stmt.kind) {
-        case Stmt::Kind::kLoop: {
-          Interval saved;
-          bool had_var = false;
-          if (enter_loop(kernel, stmt, &env, nullptr, &saved, &had_var)) {
-            walk_uninit(kernel, stmt.body, env, facts);
-            leave_loop(stmt, &env, saved, had_var);
-          }
-          break;
-        }
-        case Stmt::Kind::kStore: {
-          for (const ArrayRef& load : stmt.loads) {
-            if (buffer_sizes_.find(load.array) == buffer_sizes_.end()) {
-              continue;  // globals are initialized by the host
-            }
-            Interval idx;
-            try {
-              idx = eval_expr(load.index, env);
-            } catch (const Error&) {
-              continue;  // walk 1 already reported SCL409
-            }
-            const auto written = facts.written.find(load.array);
-            const bool never_written =
-                written == facts.written.end() || written->second.empty();
-            if (never_written || !written->second.intersects(idx)) {
-              support::Diagnostic* diag = emit(
-                  "SCL403", support::Severity::kError, kernel.name,
-                  str_cat(load.array, "@", load.line), load.line,
-                  str_cat("load from __local buffer '", load.array,
-                          "' at index [", idx.lo, ", ", idx.hi,
-                          "] that no store can have written"));
-              if (diag != nullptr) {
-                diag->notes.push_back(
-                    never_written
-                        ? str_cat("the kernel never stores to '", load.array,
-                                  "'")
-                        : "every store's index range is disjoint from this "
-                          "load");
-                diag->notes.push_back(str_cat("under ", env_summary(env)));
-              }
-            }
-          }
-          break;
-        }
-        default:
-          break;
-      }
+  /// SCL403: a local load no store's index range can have written.
+  void check_uninit(const Kernel& kernel, const LocalLoad& load,
+                    const KernelFacts& facts) {
+    const ArrayRef& ref = *load.ref;
+    const IntervalUnion& written =
+        facts.written[static_cast<std::size_t>(ref.local)];
+    const bool never_written = written.empty();
+    if (!never_written && written.intersects(load.index)) return;
+    support::Diagnostic* diag = emit(
+        "SCL403", support::Severity::kError, kernel.name,
+        str_cat(ref.array, "@", ref.line), ref.line,
+        str_cat("load from __local buffer '", ref.array, "' at index [",
+                load.index.lo, ", ", load.index.hi,
+                "] that no store can have written"));
+    if (diag != nullptr) {
+      diag->notes.push_back(
+          never_written
+              ? str_cat("the kernel never stores to '", ref.array, "'")
+              : "every store's index range is disjoint from this load");
+      diag->notes.push_back(host_summary(load.host));
     }
   }
 
   // ---- pipe token balance ---------------------------------------------
 
-  static bool subtree_has_pipe_op(const Stmt& stmt) {
-    if (stmt.kind == Stmt::Kind::kPipeRead ||
-        stmt.kind == Stmt::Kind::kPipeWrite) {
-      return true;
-    }
-    return std::any_of(stmt.body.begin(), stmt.body.end(),
-                       subtree_has_pipe_op);
-  }
-
-  static void collect_subtree_pipes(const StmtList& stmts,
-                                    std::set<std::string>* out) {
+  static void mark_pipes(const StmtList& stmts, std::vector<char>* out) {
     for (const Stmt& stmt : stmts) {
-      if (stmt.kind == Stmt::Kind::kPipeRead ||
-          stmt.kind == Stmt::Kind::kPipeWrite) {
-        out->insert(stmt.pipe);
-      }
-      collect_subtree_pipes(stmt.body, out);
+      if (stmt.pipe >= 0) (*out)[static_cast<std::size_t>(stmt.pipe)] = 1;
+      mark_pipes(stmt.body, out);
     }
   }
 
-  static bool expr_uses_var(const Expr& expr, const std::string& var) {
-    if (expr.kind == Expr::Kind::kVar) return expr.name == var;
-    return std::any_of(expr.args.begin(), expr.args.end(),
-                       [&](const Expr& a) { return expr_uses_var(a, var); });
-  }
-
-  static bool subtree_bounds_use_var(const StmtList& stmts,
-                                     const std::string& var) {
-    for (const Stmt& stmt : stmts) {
-      if (stmt.kind != Stmt::Kind::kLoop) continue;
-      if (expr_uses_var(stmt.lo, var) || expr_uses_var(stmt.hi, var) ||
-          subtree_bounds_use_var(stmt.body, var)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Per-pipe token totals for one walk: [0] = writes, [1] = reads.
-  using TokenCounts = std::map<std::string, std::array<std::int64_t, 2>,
-                               std::less<>>;
+  /// Per-pipe token totals for one walk: [0] = writes, [1] = reads,
+  /// indexed like Module::pipes.
+  using TokenCounts = std::vector<std::array<std::int64_t, 2>>;
 
   /// Exact token counts for every pipe at once under a fully concrete
-  /// environment — one walk per (kernel, environment) instead of one per
-  /// (pipe, direction, kernel, environment), which dominated the deep
-  /// per-candidate analysis cost. Loops whose variable appears in nested
-  /// bounds are enumerated; others multiply by trip count. A loop whose
-  /// bound fails to evaluate or whose enumeration exceeds the cap poisons
-  /// only the pipes inside it (collected into `unknown`) — balance for
-  /// those is skipped, never a false positive.
-  void count_tokens(const StmtList& stmts, IntervalEnv& env,
-                    TokenCounts* counts, std::set<std::string>* unknown) {
+  /// environment, each pipe call weighing `weight` (the product of the
+  /// enclosing loops' trip counts). Loops whose variable appears in
+  /// nested bounds are enumerated; others scale the weight by their trip
+  /// count. A loop whose bound fails to evaluate, whose enumeration
+  /// exceeds the cap or whose weight leaves int64 poisons only the pipes
+  /// inside it (marked in `unknown`) — balance for those is skipped,
+  /// never a false positive.
+  void count_tokens(const StmtList& stmts, std::int64_t weight,
+                    TokenCounts* counts, std::vector<char>* unknown) {
     for (const Stmt& stmt : stmts) {
-      if (stmt.kind == Stmt::Kind::kPipeWrite) {
-        ++(*counts)[stmt.pipe][0];
+      if (stmt.kind == Stmt::Kind::kPipeWrite ||
+          stmt.kind == Stmt::Kind::kPipeRead) {
+        if (stmt.pipe >= 0) {
+          (*counts)[static_cast<std::size_t>(stmt.pipe)]
+                   [stmt.kind == Stmt::Kind::kPipeRead ? 1 : 0] += weight;
+        }
         continue;
       }
-      if (stmt.kind == Stmt::Kind::kPipeRead) {
-        ++(*counts)[stmt.pipe][1];
-        continue;
-      }
-      if (stmt.kind != Stmt::Kind::kLoop || !subtree_has_pipe_op(stmt)) {
-        continue;
-      }
+      if (stmt.kind != Stmt::Kind::kLoop || !stmt.has_pipe_op) continue;
       Interval lo;
       Interval hi;
       try {
-        lo = eval_expr(stmt.lo, env);
-        hi = eval_expr(stmt.hi, env);
+        lo = eval_expr(stmt.lo, env_);
+        hi = eval_expr(stmt.hi, env_);
       } catch (const Error&) {
-        collect_subtree_pipes(stmt.body, unknown);
+        mark_pipes(stmt.body, unknown);
         continue;
       }
       const std::int64_t last = stmt.inclusive ? hi.lo : hi.lo - 1;
       const std::int64_t trip = std::max<std::int64_t>(0, last - lo.lo + 1);
       if (trip == 0) continue;
-      if (subtree_bounds_use_var(stmt.body, stmt.var)) {
+      if (stmt.bounds_use_var) {
         if (trip > kEnumerationCap) {
-          collect_subtree_pipes(stmt.body, unknown);
+          mark_pipes(stmt.body, unknown);
           continue;
         }
-        const auto saved = env.find(stmt.var);
-        const bool had = saved != env.end();
-        const Interval old = had ? saved->second : Interval{};
+        const SlotEnv::Binding saved = env_.binding(stmt.var);
         for (std::int64_t v = lo.lo; v <= last; ++v) {
-          env[stmt.var] = Interval::point(v);
-          count_tokens(stmt.body, env, counts, unknown);
+          env_.bind(stmt.var, Interval::point(v));
+          count_tokens(stmt.body, weight, counts, unknown);
         }
-        if (had) {
-          env[stmt.var] = old;
-        } else {
-          env.erase(stmt.var);
-        }
+        env_.restore(stmt.var, saved);
       } else {
-        env[stmt.var] = Interval::point(lo.lo);  // bounds ignore it anyway
-        TokenCounts inner;
-        count_tokens(stmt.body, env, &inner, unknown);
-        env.erase(stmt.var);
-        for (const auto& [pipe, n] : inner) {
-          (*counts)[pipe][0] += trip * n[0];
-          (*counts)[pipe][1] += trip * n[1];
+        std::int64_t inner = 0;
+        if (__builtin_mul_overflow(weight, trip, &inner)) {
+          mark_pipes(stmt.body, unknown);
+          continue;
         }
+        env_.bind(stmt.var, Interval::point(lo.lo));  // bounds ignore it
+        count_tokens(stmt.body, inner, counts, unknown);
+        env_.unbind(stmt.var);
       }
     }
   }
 
   void check_pipe_balance() {
     if (module_.pipes.empty()) return;
-    std::set<std::string> reported;
-    std::set<std::string> unknown;
-    for (const IntervalEnv& base : envs_) {
-      TokenCounts counts;
+    const std::size_t n = module_.pipes.size();
+    std::vector<std::size_t> first_pipe(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      first_pipe[i] = static_cast<std::size_t>(
+          first_named(module_.pipes, module_.pipes[i].name));
+    }
+    std::vector<char> reported(n, 0);
+    std::vector<char> unknown(n, 0);
+    TokenCounts counts(n);
+    for (const HostSample& sample : samples_) {
+      std::fill(counts.begin(), counts.end(), std::array<std::int64_t, 2>{});
       for (const Kernel& kernel : module_.kernels) {
-        IntervalEnv env = base;
-        count_tokens(kernel.body, env, &counts, &unknown);
+        bind_sample(sample);
+        count_tokens(kernel.body, 1, &counts, &unknown);
       }
-      for (const PipeChannel& pipe : module_.pipes) {
-        if (reported.count(pipe.name) != 0 || unknown.count(pipe.name) != 0) {
-          continue;
-        }
-        const auto it = counts.find(pipe.name);
-        const std::int64_t writes = it != counts.end() ? it->second[0] : 0;
-        const std::int64_t reads = it != counts.end() ? it->second[1] : 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const PipeChannel& pipe = module_.pipes[i];
+        const std::size_t first = first_pipe[i];
+        if (reported[first] != 0 || unknown[first] != 0) continue;
+        const std::int64_t writes = counts[first][0];
+        const std::int64_t reads = counts[first][1];
         if (writes == reads) continue;
-        reported.insert(pipe.name);  // one environment is enough evidence
+        reported[first] = 1;  // one environment is enough evidence
         support::Diagnostic* diag = emit(
             "SCL406", support::Severity::kError, "", pipe.name, pipe.line,
             str_cat("pipe '", pipe.name, "' is unbalanced: ", writes,
                     " write(s) vs ", reads, " read(s) over one pass"));
         if (diag != nullptr) {
           diag->location = {"pipe", pipe.name, pipe.line};
-          diag->notes.push_back(str_cat("under ", env_summary(base)));
+          diag->notes.push_back(host_summary(sample));
           diag->notes.push_back(
               writes > reads
                   ? "surplus tokens accumulate until the writer blocks "
@@ -608,8 +584,9 @@ class ModuleAnalyzer {
         }
       }
     }
-    for (const PipeChannel& pipe : module_.pipes) {
-      if (unknown.count(pipe.name) == 0) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      const PipeChannel& pipe = module_.pipes[i];
+      if (unknown[first_pipe[i]] == 0) continue;
       emit("SCL409", support::Severity::kWarning, "", pipe.name, pipe.line,
            str_cat("token balance for pipe '", pipe.name,
                    "' could not be established (unevaluable or oversized "
@@ -620,9 +597,17 @@ class ModuleAnalyzer {
   const Module& module_;
   const IrContext& ctx_;
   support::DiagnosticEngine* diags_;
-  std::vector<IntervalEnv> envs_;
-  /// Local-buffer name -> constant element count, for the current kernel.
-  std::map<std::string, std::int64_t, std::less<>> buffer_sizes_;
+  std::vector<HostSample> samples_;
+  /// The flat environment every walk evaluates in, and the slots of the
+  /// host parameters (kHostParams order) and of `it` (-1: unmentioned).
+  SlotEnv env_;
+  std::array<int, 4> host_slots_{};
+  int it_slot_ = -1;
+  /// The sample env_ was last reset to (for diagnostic notes).
+  HostSample sample_{};
+  /// Constant element count per local buffer of the current kernel,
+  /// indexed like Kernel::locals (at each name's first declaration).
+  std::vector<std::optional<std::int64_t>> local_sizes_;
   std::set<std::string> emitted_;
 };
 

@@ -1,5 +1,6 @@
 #include "analysis/ir/ir.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "support/error.hpp"
@@ -38,37 +39,31 @@ void note_int32_escape(const Interval& v, bool* flag) {
 
 }  // namespace
 
-std::string Expr::to_string() const {
+std::string Expr::to_string(const std::vector<std::string>& slots) const {
+  const auto arg = [&](std::size_t i) { return args[i].to_string(slots); };
   switch (kind) {
     case Kind::kLiteral:
       return str_cat(value);
     case Kind::kVar:
-      return name;
+      return slots[static_cast<std::size_t>(slot)];
     case Kind::kAdd:
-      return str_cat("(", args[0].to_string(), " + ", args[1].to_string(),
-                     ")");
+      return str_cat("(", arg(0), " + ", arg(1), ")");
     case Kind::kSub:
-      return str_cat("(", args[0].to_string(), " - ", args[1].to_string(),
-                     ")");
+      return str_cat("(", arg(0), " - ", arg(1), ")");
     case Kind::kMul:
-      return str_cat("(", args[0].to_string(), " * ", args[1].to_string(),
-                     ")");
+      return str_cat("(", arg(0), " * ", arg(1), ")");
     case Kind::kNeg:
-      return str_cat("-", args[0].to_string());
+      return str_cat("-", arg(0));
     case Kind::kMin:
-      return str_cat("min(", args[0].to_string(), ", ", args[1].to_string(),
-                     ")");
+      return str_cat("min(", arg(0), ", ", arg(1), ")");
     case Kind::kMax:
-      return str_cat("max(", args[0].to_string(), ", ", args[1].to_string(),
-                     ")");
+      return str_cat("max(", arg(0), ", ", arg(1), ")");
     case Kind::kCast64:
-      return str_cat("(long)", args[0].to_string());
+      return str_cat("(long)", arg(0));
     case Kind::kDiv:
-      return str_cat("(", args[0].to_string(), " / ", args[1].to_string(),
-                     ")");
+      return str_cat("(", arg(0), " / ", arg(1), ")");
     case Kind::kMod:
-      return str_cat("(", args[0].to_string(), " % ", args[1].to_string(),
-                     ")");
+      return str_cat("(", arg(0), " % ", arg(1), ")");
   }
   return "<expr>";
 }
@@ -79,20 +74,14 @@ namespace {
 /// the device: a kCast64 node is wide, and so is every operation with a
 /// wide operand (C promotion), so those values never wrap an `int` and
 /// are exempt from the 32-bit escape check.
-Interval eval_impl(const Expr& expr, const IntervalEnv& env,
+Interval eval_impl(const Expr& expr, const SlotEnv& env,
                    bool* int32_overflow, bool* wide) {
   *wide = false;
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
       return Interval::point(expr.value);
-    case Expr::Kind::kVar: {
-      const auto it = env.find(expr.name);
-      if (it == env.end()) {
-        throw Error(str_cat("unknown variable '", expr.name,
-                            "' in emitted expression"));
-      }
-      return it->second;
-    }
+    case Expr::Kind::kVar:
+      return env.lookup(expr.slot);
     case Expr::Kind::kCast64: {
       bool arg_wide = false;
       const Interval v =
@@ -171,7 +160,22 @@ Interval eval_impl(const Expr& expr, const IntervalEnv& env,
 
 }  // namespace
 
-Interval eval_expr(const Expr& expr, const IntervalEnv& env,
+void SlotEnv::unknown(int slot) const {
+  const auto s = static_cast<std::size_t>(slot);
+  if (names_ == nullptr || s >= names_->size()) {
+    throw Error(str_cat("variable slot ", slot,
+                        " outside the module's slot table"));
+  }
+  throw Error(
+      str_cat("unknown variable '", (*names_)[s], "' in emitted expression"));
+}
+
+int Module::slot_of(std::string_view name) const {
+  const auto it = std::find(slots.begin(), slots.end(), name);
+  return it == slots.end() ? -1 : static_cast<int>(it - slots.begin());
+}
+
+Interval eval_expr(const Expr& expr, const SlotEnv& env,
                    bool* int32_overflow) {
   bool wide = false;
   return eval_impl(expr, env, int32_overflow, &wide);

@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/interval.hpp"
@@ -32,11 +33,13 @@ namespace scl::analysis::ir {
 
 /// Integer expression tree over loop variables and kernel parameters.
 /// Only the operators the emitter's index/bound language uses exist;
-/// evaluation is interval arithmetic over analysis::Interval.
+/// evaluation is interval arithmetic over analysis::Interval. Variables
+/// are resolved to slots when the source is lowered (Module::slots holds
+/// the names), so evaluation never touches a string.
 struct Expr {
   enum class Kind {
     kLiteral,  ///< value
-    kVar,      ///< name
+    kVar,      ///< slot
     kAdd,      ///< args[0] + args[1]
     kSub,      ///< args[0] - args[1]
     kMul,      ///< args[0] * args[1]
@@ -50,7 +53,7 @@ struct Expr {
 
   Kind kind = Kind::kLiteral;
   std::int64_t value = 0;
-  std::string name;
+  int slot = -1;
   std::vector<Expr> args;
 
   static Expr literal(std::int64_t v) {
@@ -59,24 +62,87 @@ struct Expr {
     e.value = v;
     return e;
   }
-  static Expr var(std::string n) {
+  static Expr var(int slot) {
     Expr e;
     e.kind = Kind::kVar;
-    e.name = std::move(n);
+    e.slot = slot;
     return e;
   }
-  static Expr make(Kind kind, std::vector<Expr> args) {
+  /// Unary and binary nodes. The operands are moved in; a braced
+  /// std::vector initializer would deep-copy every subtree, quadratic
+  /// work on the parser's left-deep index chains.
+  static Expr make(Kind kind, Expr a) {
     Expr e;
     e.kind = kind;
-    e.args = std::move(args);
+    e.args.reserve(1);
+    e.args.push_back(std::move(a));
+    return e;
+  }
+  static Expr make(Kind kind, Expr a, Expr b) {
+    Expr e;
+    e.kind = kind;
+    e.args.reserve(2);
+    e.args.push_back(std::move(a));
+    e.args.push_back(std::move(b));
     return e;
   }
 
-  /// Renders the expression back to C-ish text (diagnostics only).
-  std::string to_string() const;
+  /// Renders the expression back to C-ish text (diagnostics only);
+  /// `slots` is the owning module's slot -> name table.
+  std::string to_string(const std::vector<std::string>& slots) const;
 };
 
-/// Interval evaluation of `expr` under `env`. Unknown variables throw
+/// Flat evaluation environment: one optional interval per variable slot
+/// of a module. Binding, unbinding and lookup are array accesses; the
+/// slot names are only read to word the unknown-variable error.
+class SlotEnv {
+ public:
+  /// One slot's state, saved and restored around a loop that rebinds it.
+  struct Binding {
+    Interval value;
+    bool bound = false;
+  };
+
+  /// An environment over no slots (constant expressions only).
+  SlotEnv() = default;
+  /// An environment over `slots` (a Module::slots table, which must
+  /// outlive it), with every slot unbound.
+  explicit SlotEnv(const std::vector<std::string>& slots)
+      : names_(&slots), bindings_(slots.size()) {}
+
+  void bind(int slot, Interval value) {
+    bindings_[static_cast<std::size_t>(slot)] = {value, true};
+  }
+  void unbind(int slot) {
+    bindings_[static_cast<std::size_t>(slot)].bound = false;
+  }
+  Binding binding(int slot) const {
+    return bindings_[static_cast<std::size_t>(slot)];
+  }
+  void restore(int slot, const Binding& saved) {
+    bindings_[static_cast<std::size_t>(slot)] = saved;
+  }
+  /// Unbinds every slot.
+  void clear() {
+    for (Binding& b : bindings_) b.bound = false;
+  }
+
+  /// The interval bound to `slot`. Throws scl::Error naming the variable
+  /// when the slot is unbound.
+  const Interval& lookup(int slot) const {
+    const auto s = static_cast<std::size_t>(slot);
+    if (s >= bindings_.size() || !bindings_[s].bound) unknown(slot);
+    return bindings_[s].value;
+  }
+
+ private:
+  [[noreturn]] void unknown(int slot) const;
+
+  const std::vector<std::string>* names_ = nullptr;
+  std::vector<Binding> bindings_;
+};
+
+/// Interval evaluation of `expr` under `env`. Unbound variables throw
 /// scl::Error (the analyzer reports SCL409 and skips the statement).
 /// `int32_overflow`, when non-null, is set if any intermediate value can
 /// escape the 32-bit signed range — the emitted arithmetic runs on
@@ -84,14 +150,21 @@ struct Expr {
 /// subtree widens to `long`: its result and every operation it feeds are
 /// 64-bit on the device and exempt from the check (operands computed
 /// *before* the cast are still `int` and still checked).
-Interval eval_expr(const Expr& expr, const IntervalEnv& env,
+Interval eval_expr(const Expr& expr, const SlotEnv& env,
                    bool* int32_overflow = nullptr);
 
 /// One array element access: `array[index]` after index-macro expansion.
+/// The lowering resolves the name against the enclosing kernel once; the
+/// analyzer only reads the resolved fields (the name is for diagnostics).
 struct ArrayRef {
   std::string array;
   Expr index;
   int line = 0;
+  int local = -1;       ///< Kernel::locals index of the first `__local`
+                        ///< declaration of `array`, or -1
+  bool global = false;  ///< `array` is a `__global` argument
+  int output = -1;      ///< Kernel::global_outputs index of the first
+                        ///< output named `array`, or -1
 };
 
 struct Stmt;
@@ -114,11 +187,14 @@ struct Stmt {
   int line = 0;
 
   // kLoop
-  std::string var;
+  int var = -1;  ///< slot of the induction variable
   Expr lo;
   Expr hi;
   bool inclusive = false;  ///< condition was `var <= hi` (the `it` loop)
   StmtList body;
+  /// Static facts of the loop, derived once by the lowering:
+  bool has_pipe_op = false;     ///< the body (at any depth) calls a pipe
+  bool bounds_use_var = false;  ///< a nested loop's bounds read `var`
 
   // kStore
   std::optional<ArrayRef> store;
@@ -126,10 +202,12 @@ struct Stmt {
                                 ///< (also set for kPipeWrite carriers)
 
   // kPipeWrite / kPipeRead
-  std::string pipe;
+  int pipe = -1;  ///< Module::pipes index of the first declaration of the
+                  ///< named pipe, or -1 when it is never declared
 
-  // kOpaque
-  std::string text;  ///< short description for the SCL409 note
+  // kPipeWrite / kPipeRead: the pipe's name; kOpaque: the first token
+  // (a short description for the SCL409 note).
+  std::string text;
 };
 
 /// A local (`__local float name[size]`) buffer declaration.
@@ -163,6 +241,32 @@ struct Module {
   std::vector<Kernel> kernels;
   /// Constructs the lowerer could not model (rendered into SCL409).
   std::vector<std::string> unmodeled;
+  /// Slot -> name of every variable an expression or loop mentions; an
+  /// Expr::kVar or Stmt::var holds an index into this table.
+  std::vector<std::string> slots;
+
+  /// The slot of `name`, or -1 when no expression or loop mentions it.
+  int slot_of(std::string_view name) const;
 };
+
+inline const std::string& declared_name(const std::string& name) {
+  return name;
+}
+inline const std::string& declared_name(const Buffer& b) { return b.name; }
+inline const std::string& declared_name(const PipeChannel& p) {
+  return p.name;
+}
+
+/// Index of the first declaration in `decls` named `name`, or -1. A name
+/// declared twice resolves to its first declaration everywhere: the
+/// lowering's references point there, and the analysis keeps its facts
+/// there.
+template <typename Decl>
+int first_named(const std::vector<Decl>& decls, std::string_view name) {
+  for (std::size_t i = 0; i < decls.size(); ++i) {
+    if (declared_name(decls[i]) == name) return static_cast<int>(i);
+  }
+  return -1;
+}
 
 }  // namespace scl::analysis::ir

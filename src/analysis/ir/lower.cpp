@@ -1,8 +1,10 @@
 #include "analysis/ir/lower.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "frontend/lexer.hpp"
@@ -75,80 +77,80 @@ MacroTable collect_macros(const std::string& source) {
   return macros;
 }
 
-/// Fully macro-expands a token stream. Substituted tokens inherit the
-/// use-site line so diagnostics point at the access, not the #define.
-std::vector<Token> expand(const std::vector<Token>& in,
-                          const MacroTable& macros, int depth) {
+/// Appends the full macro expansion of tokens [begin, end) to `out`.
+/// Substituted tokens inherit the use-site line so diagnostics point at
+/// the access, not the #define. Object-like bodies are re-scanned in
+/// place; a function-like use substitutes its arguments into one scratch
+/// vector, which is then re-scanned (the C preprocessor's order).
+void expand(const Token* begin, const Token* end, const MacroTable& macros,
+            int depth, std::vector<Token>* out) {
   if (depth > kMaxMacroDepth) {
     throw Error("macro expansion exceeds depth limit (recursive #define?)");
   }
-  std::vector<Token> out;
-  out.reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const Token& tok = in[i];
+  for (const Token* t = begin; t != end; ++t) {
+    const Token& tok = *t;
     if (tok.kind != TokenKind::kIdentifier) {
-      out.push_back(tok);
+      out->push_back(tok);
       continue;
     }
     const auto it = macros.find(tok.text);
     if (it == macros.end()) {
-      out.push_back(tok);
+      out->push_back(tok);
       continue;
     }
     const Macro& macro = it->second;
-    std::vector<Token> body;
-    if (macro.function_like) {
-      if (i + 1 >= in.size() || !in[i + 1].is("(")) {
-        out.push_back(tok);  // name without call: leave verbatim
+    const std::size_t first = out->size();
+    if (!macro.function_like) {
+      expand(macro.body.data(), macro.body.data() + macro.body.size(), macros,
+             depth + 1, out);
+    } else {
+      if (t + 1 == end || !t[1].is("(")) {
+        out->push_back(tok);  // name without call: leave verbatim
         continue;
       }
-      // Collect comma-separated argument token lists at depth 1.
-      std::vector<std::vector<Token>> args(1);
-      std::size_t j = i + 2;
+      // Comma-separated argument token ranges at depth 1.
+      std::vector<std::pair<const Token*, const Token*>> args;
+      const Token* arg_begin = t + 2;
+      const Token* j = arg_begin;
       int nesting = 1;
-      for (; j < in.size(); ++j) {
-        if (in[j].is("(")) ++nesting;
-        if (in[j].is(")")) {
-          if (--nesting == 0) break;
+      for (; j != end; ++j) {
+        if (j->is("(")) ++nesting;
+        if (j->is(")") && --nesting == 0) break;
+        if (j->is(",") && nesting == 1) {
+          args.emplace_back(arg_begin, j);
+          arg_begin = j + 1;
         }
-        if (in[j].is(",") && nesting == 1) {
-          args.emplace_back();
-          continue;
-        }
-        args.back().push_back(in[j]);
       }
       if (nesting != 0) {
         throw Error(str_cat("unterminated macro call '", tok.text,
                             "' at line ", tok.line));
       }
+      args.emplace_back(arg_begin, j);
       if (args.size() != macro.params.size()) {
         throw Error(str_cat("macro '", tok.text, "' expects ",
                             macro.params.size(), " argument(s), got ",
                             args.size(), " at line ", tok.line));
       }
+      std::vector<Token> body;
+      body.reserve(macro.body.size() * 2);
       for (const Token& bt : macro.body) {
-        bool substituted = false;
-        if (bt.kind == TokenKind::kIdentifier) {
-          for (std::size_t p = 0; p < macro.params.size(); ++p) {
-            if (bt.text == macro.params[p]) {
-              body.insert(body.end(), args[p].begin(), args[p].end());
-              substituted = true;
-              break;
-            }
-          }
+        const auto param =
+            bt.kind == TokenKind::kIdentifier
+                ? std::find(macro.params.begin(), macro.params.end(), bt.text)
+                : macro.params.end();
+        if (param == macro.params.end()) {
+          body.push_back(bt);
+        } else {
+          const auto& [a, b] =
+              args[static_cast<std::size_t>(param - macro.params.begin())];
+          body.insert(body.end(), a, b);
         }
-        if (!substituted) body.push_back(bt);
       }
-      i = j;  // past the closing ')'
-    } else {
-      body = macro.body;
+      expand(body.data(), body.data() + body.size(), macros, depth + 1, out);
+      t = j;  // the closing ')'
     }
-    std::vector<Token> expanded = expand(body, macros, depth + 1);
-    for (Token& t : expanded) t.line = tok.line;
-    out.insert(out.end(), std::make_move_iterator(expanded.begin()),
-               std::make_move_iterator(expanded.end()));
+    for (std::size_t k = first; k < out->size(); ++k) (*out)[k].line = tok.line;
   }
-  return out;
 }
 
 /// Cursor over the expanded token stream with the small helpers every
@@ -215,113 +217,178 @@ std::int64_t parse_int_literal(const Token& tok) {
   return std::strtoll(tok.text.c_str(), nullptr, 10);
 }
 
-/// Integer expression parser (the emitted index/bound language):
-///   expr   := term (('+' | '-') term)*
-///   term   := factor (('*' | '/' | '%') factor)*
-///   factor := INT | IDENT | '-' factor | '(' expr ')' | '(' 'long' ')' factor
-///           | ('max' | 'min') '(' expr ',' expr ')'
-Expr parse_expr(Cursor& cur);
-
-Expr parse_factor(Cursor& cur) {
-  const Token& tok = cur.peek();
-  if (tok.is("-")) {
-    cur.next();
-    return Expr::make(Expr::Kind::kNeg, {parse_factor(cur)});
-  }
-  if (tok.is("(")) {
-    // `(long)<factor>`: the emitter widens the flat global index to
-    // 64-bit device arithmetic (see codegen's GIDX macro).
-    if (cur.peek(1).is("long") && cur.peek(2).is(")")) {
-      cur.next();
-      cur.next();
-      cur.next();
-      return Expr::make(Expr::Kind::kCast64, {parse_factor(cur)});
-    }
-    cur.next();
-    Expr inner = parse_expr(cur);
-    cur.expect(")");
-    return inner;
-  }
-  if (tok.kind == TokenKind::kNumber) {
-    cur.next();
-    return Expr::literal(parse_int_literal(tok));
-  }
-  if (tok.kind == TokenKind::kIdentifier) {
-    cur.next();
-    if (tok.is("max") || tok.is("min")) {
-      cur.expect("(");
-      Expr a = parse_expr(cur);
-      cur.expect(",");
-      Expr b = parse_expr(cur);
-      cur.expect(")");
-      return Expr::make(tok.is("max") ? Expr::Kind::kMax : Expr::Kind::kMin,
-                       {std::move(a), std::move(b)});
-    }
-    return Expr::var(tok.text);
-  }
-  throw Error(str_cat("unexpected token '", tok.text,
-                      "' in integer expression at line ", tok.line));
-}
-
-Expr parse_term(Cursor& cur) {
-  Expr value = parse_factor(cur);
-  for (;;) {
-    Expr::Kind kind;
-    if (cur.peek().is("*")) {
-      kind = Expr::Kind::kMul;
-    } else if (cur.peek().is("/")) {
-      kind = Expr::Kind::kDiv;
-    } else if (cur.peek().is("%")) {
-      kind = Expr::Kind::kMod;
-    } else {
-      return value;
-    }
-    cur.next();
-    value = Expr::make(kind, {std::move(value), parse_factor(cur)});
+/// Applies `fn` to every statement of `stmts`, loop bodies included.
+template <typename Fn>
+void for_each_stmt(StmtList& stmts, const Fn& fn) {
+  for (Stmt& stmt : stmts) {
+    fn(stmt);
+    for_each_stmt(stmt.body, fn);
   }
 }
 
-Expr parse_expr(Cursor& cur) {
-  Expr value = parse_term(cur);
-  for (;;) {
-    if (cur.peek().is("+")) {
-      cur.next();
-      value =
-          Expr::make(Expr::Kind::kAdd, {std::move(value), parse_term(cur)});
-    } else if (cur.peek().is("-")) {
-      cur.next();
-      value =
-          Expr::make(Expr::Kind::kSub, {std::move(value), parse_term(cur)});
-    } else {
-      return value;
-    }
-  }
+bool expr_uses_slot(const Expr& expr, int slot) {
+  if (expr.kind == Expr::Kind::kVar) return expr.slot == slot;
+  return std::any_of(expr.args.begin(), expr.args.end(),
+                     [&](const Expr& a) { return expr_uses_slot(a, slot); });
 }
 
-/// Scans right-hand-side tokens up to the terminating ';', collecting
-/// every `array[index]` element read. Float arithmetic between the reads
-/// is irrelevant to the dataflow checks and is skipped.
-std::vector<ArrayRef> scan_loads(Cursor& cur) {
-  std::vector<ArrayRef> loads;
-  while (!cur.at_end() && !cur.peek().is(";")) {
-    const Token& tok = cur.next();
-    if (tok.kind == TokenKind::kIdentifier && cur.peek().is("[")) {
-      cur.next();  // '['
-      ArrayRef ref;
-      ref.array = tok.text;
-      ref.line = tok.line;
-      ref.index = parse_expr(cur);
-      cur.expect("]");
-      loads.push_back(std::move(ref));
-    }
-  }
-  cur.consume(";");
-  return loads;
+/// True when the bounds of some loop nested in `stmts` read `slot`.
+bool nested_bounds_use_slot(const StmtList& stmts, int slot) {
+  return std::any_of(stmts.begin(), stmts.end(), [&](const Stmt& stmt) {
+    return stmt.kind == Stmt::Kind::kLoop &&
+           (expr_uses_slot(stmt.lo, slot) || expr_uses_slot(stmt.hi, slot) ||
+            nested_bounds_use_slot(stmt.body, slot));
+  });
 }
 
-class KernelParser {
+/// Recursive-descent lowering of the expanded token stream into a
+/// Module. Every name the analyzer looks up per environment is resolved
+/// here, once: variables to Module::slots indices, array references to
+/// their kernel's buffers and arguments, pipe calls to declarations, and
+/// each loop's two static facts.
+class Lowerer {
  public:
-  KernelParser(Cursor& cur, Module* module) : cur_(cur), module_(module) {}
+  explicit Lowerer(const std::vector<Token>* tokens) : cur_(tokens) {}
+
+  Module lower() {
+    while (!cur_.at_end()) {
+      const Token& tok = cur_.peek();
+      if (tok.is("pipe")) {
+        parse_pipe_decl();
+        continue;
+      }
+      if (tok.is("__kernel")) {
+        module_.kernels.push_back(parse_kernel());
+        continue;
+      }
+      module_.unmodeled.push_back(str_cat("top-level construct '", tok.text,
+                                          "' at line ", tok.line));
+      cur_.skip_statement();
+    }
+    // Pipes resolve once the whole unit is read: a declaration may follow
+    // the kernels that use it.
+    for (Kernel& kernel : module_.kernels) {
+      for_each_stmt(kernel.body, [&](Stmt& stmt) {
+        if (stmt.kind == Stmt::Kind::kPipeRead ||
+            stmt.kind == Stmt::Kind::kPipeWrite) {
+          stmt.pipe = first_named(module_.pipes, stmt.text);
+        }
+      });
+    }
+    return std::move(module_);
+  }
+
+ private:
+  int slot(const std::string& name) {
+    const auto [it, added] =
+        slot_ids_.try_emplace(name, static_cast<int>(module_.slots.size()));
+    if (added) module_.slots.push_back(name);
+    return it->second;
+  }
+
+  // ---- integer expressions ----------------------------------------------
+
+  /// Integer expression parser (the emitted index/bound language):
+  ///   expr   := term (('+' | '-') term)*
+  ///   term   := factor (('*' | '/' | '%') factor)*
+  ///   factor := INT | IDENT | '-' factor | '(' expr ')'
+  ///           | '(' 'long' ')' factor | ('max' | 'min') '(' expr ',' expr ')'
+  Expr parse_factor() {
+    const Token& tok = cur_.peek();
+    if (tok.is("-")) {
+      cur_.next();
+      return Expr::make(Expr::Kind::kNeg, parse_factor());
+    }
+    if (tok.is("(")) {
+      // `(long)<factor>`: the emitter widens the flat global index to
+      // 64-bit device arithmetic (see codegen's GIDX macro).
+      if (cur_.peek(1).is("long") && cur_.peek(2).is(")")) {
+        cur_.next();
+        cur_.next();
+        cur_.next();
+        return Expr::make(Expr::Kind::kCast64, parse_factor());
+      }
+      cur_.next();
+      Expr inner = parse_expr();
+      cur_.expect(")");
+      return inner;
+    }
+    if (tok.kind == TokenKind::kNumber) {
+      cur_.next();
+      return Expr::literal(parse_int_literal(tok));
+    }
+    if (tok.kind == TokenKind::kIdentifier) {
+      cur_.next();
+      if (tok.is("max") || tok.is("min")) {
+        cur_.expect("(");
+        Expr a = parse_expr();
+        cur_.expect(",");
+        Expr b = parse_expr();
+        cur_.expect(")");
+        return Expr::make(tok.is("max") ? Expr::Kind::kMax : Expr::Kind::kMin,
+                          std::move(a), std::move(b));
+      }
+      return Expr::var(slot(tok.text));
+    }
+    throw Error(str_cat("unexpected token '", tok.text,
+                        "' in integer expression at line ", tok.line));
+  }
+
+  Expr parse_term() {
+    Expr value = parse_factor();
+    for (;;) {
+      Expr::Kind kind;
+      if (cur_.peek().is("*")) {
+        kind = Expr::Kind::kMul;
+      } else if (cur_.peek().is("/")) {
+        kind = Expr::Kind::kDiv;
+      } else if (cur_.peek().is("%")) {
+        kind = Expr::Kind::kMod;
+      } else {
+        return value;
+      }
+      cur_.next();
+      value = Expr::make(kind, std::move(value), parse_factor());
+    }
+  }
+
+  Expr parse_expr() {
+    Expr value = parse_term();
+    for (;;) {
+      if (cur_.peek().is("+")) {
+        cur_.next();
+        value = Expr::make(Expr::Kind::kAdd, std::move(value), parse_term());
+      } else if (cur_.peek().is("-")) {
+        cur_.next();
+        value = Expr::make(Expr::Kind::kSub, std::move(value), parse_term());
+      } else {
+        return value;
+      }
+    }
+  }
+
+  // ---- statements -------------------------------------------------------
+
+  /// Scans right-hand-side tokens up to the terminating ';', collecting
+  /// every `array[index]` element read. Float arithmetic between the
+  /// reads is irrelevant to the dataflow checks and is skipped.
+  std::vector<ArrayRef> scan_loads() {
+    std::vector<ArrayRef> loads;
+    while (!cur_.at_end() && !cur_.peek().is(";")) {
+      const Token& tok = cur_.next();
+      if (tok.kind == TokenKind::kIdentifier && cur_.peek().is("[")) {
+        cur_.next();  // '['
+        ArrayRef ref;
+        ref.array = tok.text;
+        ref.line = tok.line;
+        ref.index = parse_expr();
+        cur_.expect("]");
+        loads.push_back(std::move(ref));
+      }
+    }
+    cur_.consume(";");
+    return loads;
+  }
 
   Stmt parse_statement() {
     const Token& tok = cur_.peek();
@@ -347,14 +414,12 @@ class KernelParser {
     stmt.kind = Stmt::Kind::kOpaque;
     stmt.line = tok.line;
     stmt.text = tok.text;
-    module_->unmodeled.push_back(
-        str_cat("statement starting with '", tok.text, "' at line ",
-                tok.line));
+    module_.unmodeled.push_back(str_cat("statement starting with '", tok.text,
+                                        "' at line ", tok.line));
     cur_.skip_statement();
     return stmt;
   }
 
- private:
   Stmt parse_loop() {
     Stmt stmt;
     stmt.kind = Stmt::Kind::kLoop;
@@ -362,9 +427,9 @@ class KernelParser {
     cur_.expect("for");
     cur_.expect("(");
     cur_.expect("int");
-    stmt.var = cur_.next().text;
+    stmt.var = slot(cur_.next().text);
     cur_.expect("=");
-    stmt.lo = parse_expr(cur_);
+    stmt.lo = parse_expr();
     cur_.expect(";");
     const std::string cond_var = cur_.next().text;
     if (cur_.consume("<")) {
@@ -375,7 +440,7 @@ class KernelParser {
       throw Error(str_cat("unsupported loop condition on '", cond_var,
                           "' at line ", stmt.line));
     }
-    stmt.hi = parse_expr(cur_);
+    stmt.hi = parse_expr();
     cur_.expect(";");
     // `++var` or `var++`.
     cur_.consume("+");
@@ -394,6 +459,12 @@ class KernelParser {
     } else {
       stmt.body.push_back(parse_statement());
     }
+    stmt.has_pipe_op = std::any_of(
+        stmt.body.begin(), stmt.body.end(), [](const Stmt& s) {
+          return s.kind == Stmt::Kind::kPipeRead ||
+                 s.kind == Stmt::Kind::kPipeWrite || s.has_pipe_op;
+        });
+    stmt.bounds_use_var = nested_bounds_use_slot(stmt.body, stmt.var);
     return stmt;
   }
 
@@ -403,7 +474,7 @@ class KernelParser {
     stmt.line = cur_.peek().line;
     cur_.next();  // the call name
     cur_.expect("(");
-    stmt.pipe = cur_.next().text;
+    stmt.text = cur_.next().text;
     cur_.expect(",");
     cur_.consume("&");
     cur_.next();  // carrier variable
@@ -422,11 +493,11 @@ class KernelParser {
     cur_.next();  // carrier name
     if (cur_.consume(";")) return stmt;
     if (cur_.consume("=")) {
-      stmt.loads = scan_loads(cur_);
+      stmt.loads = scan_loads();
       return stmt;
     }
     stmt.kind = Stmt::Kind::kOpaque;
-    module_->unmodeled.push_back(
+    module_.unmodeled.push_back(
         str_cat("float declaration at line ", stmt.line));
     cur_.skip_statement();
     return stmt;
@@ -441,115 +512,122 @@ class KernelParser {
     ref.array = target.text;
     ref.line = target.line;
     cur_.expect("[");
-    ref.index = parse_expr(cur_);
+    ref.index = parse_expr();
     cur_.expect("]");
     stmt.store = std::move(ref);
     cur_.expect("=");
-    stmt.loads = scan_loads(cur_);
+    stmt.loads = scan_loads();
     return stmt;
   }
 
-  Cursor& cur_;
-  Module* module_;
+  // ---- declarations -----------------------------------------------------
+
+  void parse_pipe_decl() {
+    const int line = cur_.next().line;  // 'pipe'
+    cur_.expect("float");
+    PipeChannel pipe;
+    pipe.name = cur_.next().text;
+    pipe.line = line;
+    if (cur_.consume("__attribute__")) {
+      // ((xcl_reqd_pipe_depth(N))): pull N out of the nested parens.
+      cur_.expect("(");
+      cur_.expect("(");
+      cur_.next();  // xcl_reqd_pipe_depth
+      cur_.expect("(");
+      pipe.depth = parse_int_literal(cur_.next());
+      cur_.expect(")");
+      cur_.expect(")");
+      cur_.expect(")");
+    }
+    cur_.consume(";");
+    module_.pipes.push_back(std::move(pipe));
+  }
+
+  void parse_kernel_params(Kernel* kernel) {
+    cur_.expect("(");
+    while (!cur_.consume(")")) {
+      if (cur_.at_end()) {
+        throw Error(str_cat("unterminated parameter list of kernel '",
+                            kernel->name, "'"));
+      }
+      const bool is_global = cur_.consume("__global");
+      const bool is_const = cur_.consume("const");
+      const std::string type = cur_.next().text;  // float | int
+      const bool is_pointer = cur_.consume("*");
+      cur_.consume("restrict");
+      const std::string name = cur_.next().text;
+      if (is_global && is_pointer) {
+        (is_const ? kernel->global_inputs : kernel->global_outputs)
+            .push_back(name);
+      } else if (type == "int") {
+        kernel->int_params.push_back(name);
+      }
+      cur_.consume(",");
+    }
+  }
+
+  Kernel parse_kernel() {
+    Kernel kernel;
+    kernel.line = cur_.peek().line;
+    cur_.expect("__kernel");
+    while (cur_.consume("__attribute__")) cur_.skip_parens();
+    cur_.expect("void");
+    kernel.name = cur_.next().text;
+    parse_kernel_params(&kernel);
+    cur_.expect("{");
+    while (!cur_.consume("}")) {
+      if (cur_.at_end()) {
+        throw Error(str_cat("kernel '", kernel.name, "' never closes"));
+      }
+      // Local buffer declarations precede the statements.
+      if (cur_.peek().is("__local")) {
+        cur_.next();
+        cur_.expect("float");
+        Buffer buffer;
+        buffer.name = cur_.next().text;
+        buffer.line = cur_.peek().line;
+        cur_.expect("[");
+        buffer.size = parse_expr();
+        cur_.expect("]");
+        cur_.consume(";");
+        kernel.locals.push_back(std::move(buffer));
+        continue;
+      }
+      kernel.body.push_back(parse_statement());
+    }
+    resolve_refs(&kernel);
+    return kernel;
+  }
+
+  /// Binds every array reference of `kernel` to its buffers and
+  /// arguments, after the whole kernel is read.
+  static void resolve_refs(Kernel* kernel) {
+    const auto resolve = [&](ArrayRef& ref) {
+      ref.local = first_named(kernel->locals, ref.array);
+      ref.output = first_named(kernel->global_outputs, ref.array);
+      ref.global = ref.output >= 0 ||
+                   first_named(kernel->global_inputs, ref.array) >= 0;
+    };
+    for_each_stmt(kernel->body, [&](Stmt& stmt) {
+      if (stmt.store.has_value()) resolve(*stmt.store);
+      for (ArrayRef& load : stmt.loads) resolve(load);
+    });
+  }
+
+  Cursor cur_;
+  Module module_;
+  std::unordered_map<std::string, int> slot_ids_;
 };
-
-void parse_kernel_params(Cursor& cur, Kernel* kernel) {
-  cur.expect("(");
-  while (!cur.consume(")")) {
-    if (cur.at_end()) {
-      throw Error(str_cat("unterminated parameter list of kernel '",
-                          kernel->name, "'"));
-    }
-    const bool is_global = cur.consume("__global");
-    const bool is_const = cur.consume("const");
-    const std::string type = cur.next().text;  // float | int
-    const bool is_pointer = cur.consume("*");
-    cur.consume("restrict");
-    const std::string name = cur.next().text;
-    if (is_global && is_pointer) {
-      (is_const ? kernel->global_inputs : kernel->global_outputs)
-          .push_back(name);
-    } else if (type == "int") {
-      kernel->int_params.push_back(name);
-    }
-    cur.consume(",");
-  }
-}
-
-Kernel parse_kernel(Cursor& cur, Module* module) {
-  Kernel kernel;
-  kernel.line = cur.peek().line;
-  cur.expect("__kernel");
-  while (cur.consume("__attribute__")) cur.skip_parens();
-  cur.expect("void");
-  kernel.name = cur.next().text;
-  parse_kernel_params(cur, &kernel);
-  cur.expect("{");
-  KernelParser parser(cur, module);
-  while (!cur.consume("}")) {
-    if (cur.at_end()) {
-      throw Error(str_cat("kernel '", kernel.name, "' never closes"));
-    }
-    // Local buffer declarations precede the statements.
-    if (cur.peek().is("__local")) {
-      cur.next();
-      cur.expect("float");
-      Buffer buffer;
-      buffer.name = cur.next().text;
-      buffer.line = cur.peek().line;
-      cur.expect("[");
-      buffer.size = parse_expr(cur);
-      cur.expect("]");
-      cur.consume(";");
-      kernel.locals.push_back(std::move(buffer));
-      continue;
-    }
-    kernel.body.push_back(parser.parse_statement());
-  }
-  return kernel;
-}
 
 }  // namespace
 
 Module lower_kernel_source(const std::string& source) {
   const MacroTable macros = collect_macros(source);
   const std::vector<Token> raw = scl::frontend::tokenize(source);
-  const std::vector<Token> tokens = expand(raw, macros, 0);
-  Cursor cur(&tokens);
-
-  Module module;
-  while (!cur.at_end()) {
-    const Token& tok = cur.peek();
-    if (tok.is("pipe")) {
-      cur.next();
-      cur.expect("float");
-      PipeChannel pipe;
-      pipe.name = cur.next().text;
-      pipe.line = tok.line;
-      if (cur.consume("__attribute__")) {
-        // ((xcl_reqd_pipe_depth(N))): pull N out of the nested parens.
-        cur.expect("(");
-        cur.expect("(");
-        cur.next();  // xcl_reqd_pipe_depth
-        cur.expect("(");
-        pipe.depth = parse_int_literal(cur.next());
-        cur.expect(")");
-        cur.expect(")");
-        cur.expect(")");
-      }
-      cur.consume(";");
-      module.pipes.push_back(std::move(pipe));
-      continue;
-    }
-    if (tok.is("__kernel")) {
-      module.kernels.push_back(parse_kernel(cur, &module));
-      continue;
-    }
-    module.unmodeled.push_back(str_cat("top-level construct '", tok.text,
-                                       "' at line ", tok.line));
-    cur.skip_statement();
-  }
-  return module;
+  std::vector<Token> tokens;
+  tokens.reserve(raw.size() * 2);
+  expand(raw.data(), raw.data() + raw.size(), macros, 0, &tokens);
+  return Lowerer(&tokens).lower();
 }
 
 }  // namespace scl::analysis::ir

@@ -9,6 +9,9 @@ namespace scl::frontend {
 
 std::vector<Token> tokenize(const std::string& source) {
   std::vector<Token> out;
+  // Emitted kernel sources run close to three bytes per token: one
+  // up-front reservation replaces most of the vector's regrowth copies.
+  out.reserve(source.size() / 3 + 1);
   std::size_t i = 0;
   int line = 1;
   const std::size_t n = source.size();
@@ -47,14 +50,13 @@ std::vector<Token> tokenize(const std::string& source) {
       continue;
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      Token t;
-      t.kind = TokenKind::kIdentifier;
-      t.line = line;
+      const std::size_t start = i;
       while (i < n && (std::isalnum(static_cast<unsigned char>(source[i])) ||
                        source[i] == '_')) {
-        t.text.push_back(source[i++]);
+        ++i;
       }
-      out.push_back(std::move(t));
+      out.push_back(
+          Token{TokenKind::kIdentifier, source.substr(start, i - start), line});
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c)) ||

@@ -27,16 +27,46 @@ struct PerfModel::KernelGeometry {
 
 PerfModel::PerfModel(const StencilProgram& program, fpga::DeviceSpec device,
                      ConeMode mode)
-    : program_(&program), device_(std::move(device)), mode_(mode) {}
+    : program_(&program), device_(std::move(device)), mode_(mode) {
+  // The pipe-face radii depend only on the program: which mutable fields
+  // a stage reads toward each face, and how far its output reaches out
+  // of the opposite one. Derive them once instead of per prediction.
+  face_radii_.resize(static_cast<std::size_t>(program.stage_count()));
+  for (int s = 0; s < program.stage_count(); ++s) {
+    const scl::stencil::Stage& stage = program.stage(s);
+    StageFaceRadii& faces = face_radii_[static_cast<std::size_t>(s)];
+    for (int d = 0; d < program.dims(); ++d) {
+      const auto ds = static_cast<std::size_t>(d);
+      for (int side = 0; side < 2; ++side) {
+        const auto ss = static_cast<std::size_t>(side);
+        for (int f = 0; f < program.field_count(); ++f) {
+          if (program.is_constant_field(f)) continue;
+          const bool read_toward = std::any_of(
+              stage.reads.begin(), stage.reads.end(), [&](const auto& read) {
+                const int off = read.offset[ds];
+                return read.field == f &&
+                       ((side == 0 && off < 0) || (side == 1 && off > 0));
+              });
+          if (read_toward) {
+            faces.recv[ds][ss].push_back(
+                static_cast<double>(program.field_read_radii(f)[ds][ss]));
+          }
+        }
+        faces.send[ds][ss] = static_cast<double>(
+            program.field_read_radii(stage.output_field)[ds][1 - ss]);
+      }
+    }
+  }
+}
 
 void PerfModel::accumulate_kernel(const DesignConfig& config,
                                   const KernelGeometry& geo,
-                                  const std::vector<double>& stage_ii,
+                                  const std::vector<double>& stage_cpe,
                                   Prediction* out) const {
   const StencilProgram& prog = *program_;
   // C_element over a full iteration: every stage touches every cell once,
   // so the per-cell cost is the sum of the per-stage IIs over N_PE. The
-  // per-stage IIs arrive precomputed in `stage_ii` (see predict()).
+  // per-stage II / N_PE arrive precomputed in `stage_cpe` (see predict()).
   const double h = static_cast<double>(config.fused_iterations);
   const double k = static_cast<double>(config.total_kernels());
   // Fair share of the replica's bank-group bandwidth, capped by the
@@ -82,6 +112,14 @@ void PerfModel::accumulate_kernel(const DesignConfig& config,
   double l_comp = 0.0;
   double l_share_exposed = 0.0;
   double l_iter_sum = 0.0;
+  // The pipe-shared faces as (dim, side), in dimension-then-side order.
+  std::array<std::array<std::size_t, 2>, 6> shared_faces{};
+  std::size_t n_shared = 0;
+  for (std::size_t d = 0; d < static_cast<std::size_t>(prog.dims()); ++d) {
+    for (std::size_t side = 0; side < 2; ++side) {
+      if (geo.shared[d][side]) shared_faces[n_shared++] = {d, side};
+    }
+  }
   for (std::int64_t i = 1; i <= config.fused_iterations; ++i) {
     const double remaining = h - static_cast<double>(i);
     std::array<double, 3> iter_extent{1.0, 1.0, 1.0};
@@ -96,19 +134,19 @@ void PerfModel::accumulate_kernel(const DesignConfig& config,
       cells *= iter_extent[static_cast<std::size_t>(d)];
     }
 
-    auto tangential_area = [&](int d) {
-      double area = 1.0;
+    std::array<double, 3> tangential_area{1.0, 1.0, 1.0};
+    for (int d = 0; d < prog.dims(); ++d) {
       for (int t = 0; t < prog.dims(); ++t) {
-        if (t != d) area *= iter_extent[static_cast<std::size_t>(t)];
+        if (t != d) {
+          tangential_area[static_cast<std::size_t>(d)] *=
+              iter_extent[static_cast<std::size_t>(t)];
+        }
       }
-      return area;
-    };
+    }
 
     for (int s = 0; s < prog.stage_count(); ++s) {
-      const scl::stencil::Stage& stage = prog.stage(s);
-      const double ii_s = stage_ii[static_cast<std::size_t>(s)];
-      const double comp_s =
-          ii_s / static_cast<double>(config.unroll) * cells;
+      const StageFaceRadii& faces = face_radii_[static_cast<std::size_t>(s)];
+      const double comp_s = stage_cpe[static_cast<std::size_t>(s)] * cells;
 
       // Receive tail: per shared face, the strips this stage's dependent
       // cells wait for arrive serialized at C_pipe per element; different
@@ -116,35 +154,15 @@ void PerfModel::accumulate_kernel(const DesignConfig& config,
       double recv_tail = 0.0;
       // Send volume: this stage's output strips (one per shared face).
       double send_elems = 0.0;
-      const int out_field = stage.output_field;
-      for (int d = 0; d < prog.dims(); ++d) {
-        const auto ds = static_cast<std::size_t>(d);
-        for (int side = 0; side < 2; ++side) {
-          const auto ss = static_cast<std::size_t>(side);
-          if (!geo.shared[ds][ss]) continue;
-          double face_elems = 0.0;
-          for (int f = 0; f < prog.field_count(); ++f) {
-            if (prog.is_constant_field(f)) continue;
-            bool read_toward = false;
-            for (const auto& read : stage.reads) {
-              if (read.field != f) continue;
-              const int off = read.offset[ds];
-              if ((side == 0 && off < 0) || (side == 1 && off > 0)) {
-                read_toward = true;
-                break;
-              }
-            }
-            if (!read_toward) continue;
-            face_elems +=
-                static_cast<double>(prog.field_read_radii(f)[ds][ss]) *
-                tangential_area(d);
-          }
-          recv_tail = std::max(recv_tail, cpipe * face_elems);
-          const auto opp = static_cast<std::size_t>(side == 0 ? 1 : 0);
-          send_elems +=
-              static_cast<double>(prog.field_read_radii(out_field)[ds][opp]) *
-              tangential_area(d);
+      for (std::size_t f = 0; f < n_shared; ++f) {
+        const auto [ds, ss] = shared_faces[f];
+        const double area = tangential_area[ds];
+        double face_elems = 0.0;
+        for (const double radius : faces.recv[ds][ss]) {
+          face_elems += radius * area;
         }
+        recv_tail = std::max(recv_tail, cpipe * face_elems);
+        send_elems += faces.send[ds][ss] * area;
       }
       const double exposed = std::max(0.0, recv_tail - comp_s) +
                              std::max(0.0, cpipe * send_elems - comp_s);
@@ -219,12 +237,15 @@ Prediction PerfModel::predict(const DesignConfig& config) const {
     return out;
   }
 
-  // Per-stage IIs depend only on (stage, unroll): hoist them out of the
-  // kernel-position × iteration loops in accumulate_kernel.
-  std::vector<double> stage_ii(static_cast<std::size_t>(prog.stage_count()));
+  // Per-stage cycles per cell (II / N_PE) depend only on (stage,
+  // unroll): hoist them out of the kernel-position × iteration loops in
+  // accumulate_kernel.
+  std::vector<double> stage_cpe(static_cast<std::size_t>(prog.stage_count()));
   for (int s = 0; s < prog.stage_count(); ++s) {
-    stage_ii[static_cast<std::size_t>(s)] = static_cast<double>(
-        fpga::estimate_stage(prog.stage(s), config.unroll).ii);
+    stage_cpe[static_cast<std::size_t>(s)] =
+        static_cast<double>(
+            fpga::estimate_stage(prog.stage(s), config.unroll).ii) /
+        static_cast<double>(config.unroll);
   }
 
   const auto& radii = prog.iter_radii();
@@ -247,7 +268,7 @@ Prediction PerfModel::predict(const DesignConfig& config) const {
         geo.shared[ds][0] = geo.shared[ds][1] = true;
       }
     }
-    accumulate_kernel(config, geo, stage_ii, &out);
+    accumulate_kernel(config, geo, stage_cpe, &out);
   } else {
     // Refined: evaluate kernel positions with their own balanced extents
     // and exterior faces, and keep the slowest (Eq. 1's max_k). Interior
@@ -285,7 +306,7 @@ Prediction PerfModel::predict(const DesignConfig& config) const {
             geo.cone_radius[ds][1] =
                 geo.shared[ds][1] ? 0.0 : static_cast<double>(radii[ds][1]);
           }
-          accumulate_kernel(config, geo, stage_ii, &out);
+          accumulate_kernel(config, geo, stage_cpe, &out);
         }
       }
     }

@@ -20,6 +20,7 @@
 //    dimension. Kept for ablation; it is distinctly more conservative.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -44,12 +45,14 @@ struct Prediction {
   double l_tile = 0.0;           ///< slowest kernel's region latency
 };
 
-/// Re-entrancy contract: PerfModel holds only read-only references (the
-/// program, the device spec, the mode) and predict() keeps all working
-/// state on the stack — concurrent predict() calls on one instance, or on
-/// per-worker instances sharing the same program, need no locking. The
-/// parallel design-space exploration (core::EvaluationEngine) relies on
-/// this; do not add mutable caches here without a lock.
+/// Re-entrancy contract: PerfModel holds only read-only state — the
+/// program reference, the device spec, the mode, and the per-(stage, dim,
+/// side) pipe-face radii the constructor derives from the program — and
+/// predict() keeps all working state on the stack, so concurrent
+/// predict() calls on one instance, or on per-worker instances sharing
+/// the same program, need no locking. The parallel design-space
+/// exploration (core::EvaluationEngine) relies on this; do not add
+/// mutable caches here without a lock.
 class PerfModel {
  public:
   PerfModel(const scl::stencil::StencilProgram& program,
@@ -68,19 +71,29 @@ class PerfModel {
 
  private:
   struct KernelGeometry;
-  /// Eq. 3 components for one kernel. `stage_ii` carries the per-stage
-  /// initiation intervals, hoisted by predict() — they depend only on
-  /// (stage, unroll), never on the kernel position, so computing them
+  /// Eq. 3 components for one kernel. `stage_cpe` carries each stage's
+  /// cycles per cell (II / N_PE), hoisted by predict() — they depend only
+  /// on (stage, unroll), never on the kernel position, so computing them
   /// once per prediction instead of once per kernel×iteration is a pure
   /// (bit-identical) speedup of the DSE hot path.
   void accumulate_kernel(const sim::DesignConfig& config,
                          const KernelGeometry& geo,
-                         const std::vector<double>& stage_ii,
+                         const std::vector<double>& stage_cpe,
                          Prediction* out) const;
+
+  /// One stage's pipe faces, per [dim][side]: the read radius of each
+  /// mutable field the stage reads toward that face (field order), and
+  /// its output field's radius out of the opposite face. A shared face
+  /// costs these times its tangential area.
+  struct StageFaceRadii {
+    std::array<std::array<std::vector<double>, 2>, 3> recv;
+    std::array<std::array<double, 2>, 3> send{};
+  };
 
   const scl::stencil::StencilProgram* program_;
   fpga::DeviceSpec device_;
   ConeMode mode_;
+  std::vector<StageFaceRadii> face_radii_;  ///< indexed by stage
 };
 
 }  // namespace scl::model

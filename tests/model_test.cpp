@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "fpga/device.hpp"
 #include "model/perf_model.hpp"
 #include "sim/executor.hpp"
 #include "stencil/kernels.hpp"
 #include "support/math.hpp"
+#include "support/strings.hpp"
 
 namespace scl::model {
 namespace {
@@ -122,6 +126,221 @@ TEST(PerfModelTest, RejectsInvalidConfig) {
   const PerfModel model(p, fpga::virtex7_690t());
   EXPECT_THROW(model.predict(config2d(DesignKind::kBaseline, 0, 2, 16)),
                Error);
+}
+
+// --- pinned predictions -----------------------------------------------------
+//
+// Exact Prediction fields for fixed configurations, compared with
+// EXPECT_EQ on doubles: any change to the model's arithmetic, down to the
+// last bit, fails here. Values come from the model before its pipe-face
+// radii moved into the constructor. The first table holds the baseline
+// and heterogeneous DSE winners of every paper kernel at paper scale on
+// a DDR and an HBM part (one thread; Jacobi-1D has no heterogeneous design
+// that fits on xcu280); the second holds small 3-wide tilings at N_PE=64
+// whose pipe faces stay exposed, with edge shrink so that paper-exact
+// mode sees fractional tile extents.
+
+struct PinnedConfig {
+  DesignKind kind;
+  std::int64_t fused_iterations;
+  std::array<int, 3> parallelism;
+  std::array<std::int64_t, 3> tile_size;
+  std::array<std::int64_t, 3> edge_shrink;
+  int unroll;
+  int replication;
+};
+
+struct PinnedValues {
+  double total_cycles;
+  double l_comp;
+  double l_share_exposed;
+  double lambda;
+};
+
+constexpr DesignKind kBase = DesignKind::kBaseline;
+constexpr DesignKind kHet = DesignKind::kHeterogeneous;
+
+struct PinnedCase {
+  const char* kernel;
+  const char* device;
+  PinnedConfig config;
+  PinnedValues refined;
+  PinnedValues paper_exact;
+};
+
+const PinnedCase kDseWinners[] = {
+    {"Jacobi-1D", "xc7vx690t",
+     {kBase, 512, {16, 1, 1}, {8192, 1, 1}, {0, 0, 0}, 16, 1},
+     {1253248, 556992, 0, 0},
+     {1253248, 556992, 0, 0}},
+    {"Jacobi-1D", "xc7vx690t",
+     {kHet, 512, {16, 1, 1}, {8192, 1, 1}, {8, 0, 0}, 16, 1},
+     {1215304, 540128, 0, 0},
+     {1253552, 557120, 0, 0}},
+    {"Jacobi-2D", "xc7vx690t",
+     {kBase, 32, {4, 4, 1}, {128, 128, 1}, {0, 0, 0}, 16, 1},
+     {187762688, 153732, 0, 0},
+     {187762688, 153732, 0, 0}},
+    {"Jacobi-2D", "xc7vx690t",
+     {kHet, 64, {4, 4, 1}, {128, 128, 1}, {8, 8, 0}, 16, 1},
+     {121349632, 279522, 0, 0},
+     {217241600, 491592, 0, 0}},
+    {"Jacobi-3D", "xc7vx690t",
+     {kBase, 5, {2, 2, 2}, {32, 32, 32}, {0, 0, 0}, 16, 1},
+     {229326684160, 59400, 0, 0},
+     {229326684160, 59400, 0, 0}},
+    {"Jacobi-3D", "xc7vx690t",
+     {kHet, 8, {2, 2, 2}, {32, 32, 32}, {0, 0, 0}, 16, 1},
+     {154127040512, 90596, 0, 0},
+     {243043139584, 148032, 24480, 0.19813519813519814}},
+    {"HotSpot-2D", "xc7vx690t",
+     {kBase, 40, {2, 2, 1}, {256, 256, 1}, {0, 0, 0}, 16, 1},
+     {1516820800, 656685, 0, 0},
+     {1516820800, 656685, 0, 0}},
+    {"HotSpot-2D", "xc7vx690t",
+     {kHet, 48, {2, 2, 1}, {256, 256, 1}, {0, 0, 0}, 16, 1},
+     {1285395552, 704809.5, 0, 0},
+     {1544737152, 833190, 0, 0}},
+    {"HotSpot-3D", "xc7vx690t",
+     {kBase, 5, {1, 2, 2}, {32, 32, 32}, {0, 0, 0}, 8, 1},
+     {982201139200, 118800, 0, 0},
+     {982201139200, 118800, 0, 0}},
+    {"HotSpot-3D", "xc7vx690t",
+     {kHet, 6, {1, 2, 2}, {32, 32, 32}, {0, 0, 0}, 8, 1},
+     {821563473920, 133649, 0, 0},
+     {1025555496960, 155844, 0, 0}},
+    {"FDTD-2D", "xc7vx690t",
+     {kBase, 40, {2, 2, 1}, {256, 256, 1}, {0, 0, 0}, 16, 1},
+     {247932048, 656685, 0, 0},
+     {247932048, 656685, 0, 0}},
+    {"FDTD-2D", "xc7vx690t",
+     {kHet, 64, {2, 2, 1}, {256, 256, 1}, {0, 0, 0}, 16, 1},
+     {192217728, 995970, 0, 0},
+     {240781824, 1237512, 0, 0}},
+    {"FDTD-3D", "xc7vx690t",
+     {kBase, 6, {1, 2, 2}, {16, 32, 32}, {0, 0, 0}, 8, 1},
+     {6142615879680, 134358, 0, 0},
+     {6142615879680, 134358, 0, 0}},
+    {"FDTD-3D", "xc7vx690t",
+     {kHet, 6, {1, 2, 2}, {16, 32, 32}, {0, 0, 0}, 8, 1},
+     {5157078958080, 114565.5, 0, 0},
+     {6475559731200, 134358, 0, 0}},
+    {"Jacobi-1D", "xcu280",
+     {kBase, 128, {16, 1, 1}, {2048, 1, 1}, {0, 0, 0}, 16, 4},
+     {295808, 34800, 0, 0},
+     {295808, 34800, 0, 0}},
+    // Jacobi-1D xcu280: no heterogeneous design fits
+    {"Jacobi-2D", "xcu280",
+     {kBase, 12, {4, 4, 1}, {128, 128, 1}, {0, 0, 0}, 16, 2},
+     {36774632, 43579.5, 0, 0},
+     {36774632, 43579.5, 0, 0}},
+    {"Jacobi-2D", "xcu280",
+     {kHet, 32, {4, 4, 1}, {128, 128, 1}, {8, 8, 0}, 16, 2},
+     {30812416, 110976, 0, 0},
+     {47156480, 169380, 0, 0}},
+    {"Jacobi-3D", "xcu280",
+     {kBase, 2, {2, 2, 4}, {16, 32, 32}, {0, 0, 0}, 8, 2},
+     {30589059072, 18596, 0, 0},
+     {30589059072, 18596, 0, 0}},
+    {"Jacobi-3D", "xcu280",
+     {kHet, 1, {2, 2, 4}, {16, 32, 32}, {0, 0, 2}, 8, 2},
+     {38931529728, 8704, 0, 0},
+     {41724936192, 8704, 0, 0}},
+    {"HotSpot-2D", "xcu280",
+     {kBase, 5, {4, 4, 1}, {128, 128, 1}, {0, 0, 0}, 4, 2},
+     {505523200, 65370, 0, 0},
+     {505523200, 65370, 0, 0}},
+    {"HotSpot-2D", "xcu280",
+     {kHet, 10, {4, 4, 1}, {128, 128, 1}, {2, 2, 0}, 4, 2},
+     {451655200, 127788.75, 0, 0},
+     {514982400, 145155, 0, 0}},
+    {"HotSpot-3D", "xcu280",
+     {kBase, 2, {2, 2, 4}, {8, 32, 32}, {0, 0, 0}, 4, 2},
+     {121143296000, 19752, 0, 0},
+     {121143296000, 19752, 0, 0}},
+    {"HotSpot-3D", "xcu280",
+     {kHet, 1, {2, 2, 4}, {8, 32, 32}, {0, 0, 0}, 4, 2},
+     {131235840000, 8192, 0, 0},
+     {147587072000, 8192, 0, 0}},
+    {"FDTD-2D", "xcu280",
+     {kBase, 10, {4, 4, 1}, {64, 64, 1}, {0, 0, 0}, 8, 2},
+     {45554400, 20107.5, 0, 0},
+     {45554400, 20107.5, 0, 0}},
+    {"FDTD-2D", "xcu280",
+     {kHet, 20, {4, 4, 1}, {64, 64, 1}, {4, 4, 0}, 8, 2},
+     {35277600, 36476.25, 0, 0},
+     {56246400, 57765, 0, 0}},
+    {"FDTD-3D", "xcu280",
+     {kBase, 2, {2, 2, 4}, {16, 16, 16}, {0, 0, 0}, 2, 2},
+     {785252352000, 29784, 0, 0},
+     {785252352000, 29784, 0, 0}},
+    {"FDTD-3D", "xcu280",
+     {kHet, 1, {2, 2, 4}, {16, 16, 16}, {0, 0, 0}, 2, 2},
+     {890634240000, 12288, 0, 0},
+     {997195776000, 12288, 0, 0}},
+};
+
+const PinnedCase kExposedPipes[] = {
+    {"Jacobi-1D", "xc7vx690t",
+     {kHet, 4, {3, 1, 1}, {16, 1, 1}, {3, 0, 0}, 64, 1},
+     {47016896, 21.25, 18.5, 6.7272727272727275},
+     {52347808, 20.875, 17.75, 5.6799999999999997}},
+    {"Jacobi-2D", "xc7vx690t",
+     {kHet, 4, {3, 3, 1}, {16, 16, 1}, {3, 3, 0}, 64, 1},
+     {1502512192, 789.25, 698.5, 7.6969696969696972},
+     {2023486432, 881.875, 763.75, 6.465608465608466}},
+    {"Jacobi-3D", "xc7vx690t",
+     {kHet, 4, {3, 3, 3}, {16, 16, 16}, {3, 3, 3}, 64, 1},
+     {516904689664, 24442, 21780, 8.1818181818181817},
+     {884109062144, 31280, 27280, 6.8200000000000003}},
+    {"HotSpot-2D", "xc7vx690t",
+     {kHet, 4, {3, 3, 1}, {16, 16, 1}, {3, 3, 0}, 64, 1},
+     {8265492250, 789.25, 698.5, 7.6969696969696972},
+     {12164339875, 881.875, 763.75, 6.465608465608466}},
+    {"HotSpot-3D", "xc7vx690t",
+     {kHet, 4, {3, 3, 3}, {16, 16, 16}, {3, 3, 3}, 64, 1},
+     {1569468180000, 24442, 21780, 8.1818181818181817},
+     {3026010534000, 31280, 27280, 6.8200000000000003}},
+    {"FDTD-2D", "xc7vx690t",
+     {kHet, 4, {3, 3, 1}, {16, 16, 1}, {3, 3, 0}, 64, 1},
+     {1917470781.25, 1141.25, 1050.5, 11.575757575757576},
+     {2648894734.375, 1281.875, 1163.75, 9.8518518518518512}},
+    {"FDTD-3D", "xc7vx690t",
+     {kHet, 4, {3, 3, 3}, {16, 16, 16}, {3, 3, 3}, 64, 1},
+     {10503063529125, 65703, 61710, 15.454545454545455},
+     {18317100934500, 84720, 78720, 13.119999999999999}},
+};
+
+void expect_pinned(const PinnedCase& c) {
+  SCOPED_TRACE(scl::str_cat(c.kernel, " on ", c.device));
+  const auto program =
+      scl::stencil::find_benchmark(c.kernel).make_paper_scale();
+  const fpga::DeviceSpec device = fpga::find_device(c.device);
+  DesignConfig config;
+  config.kind = c.config.kind;
+  config.fused_iterations = c.config.fused_iterations;
+  config.parallelism = c.config.parallelism;
+  config.tile_size = c.config.tile_size;
+  config.edge_shrink = c.config.edge_shrink;
+  config.unroll = c.config.unroll;
+  config.replication = c.config.replication;
+  for (const ConeMode mode : {ConeMode::kRefined, ConeMode::kPaperExact}) {
+    const PinnedValues& want =
+        mode == ConeMode::kRefined ? c.refined : c.paper_exact;
+    const Prediction got = PerfModel(program, device, mode).predict(config);
+    EXPECT_EQ(got.total_cycles, want.total_cycles);
+    EXPECT_EQ(got.l_comp, want.l_comp);
+    EXPECT_EQ(got.l_share_exposed, want.l_share_exposed);
+    EXPECT_EQ(got.lambda, want.lambda);
+  }
+}
+
+TEST(PerfModelPinnedTest, DseWinnersPredictBitExactly) {
+  for (const PinnedCase& c : kDseWinners) expect_pinned(c);
+}
+
+TEST(PerfModelPinnedTest, ExposedPipeFacesPredictBitExactly) {
+  for (const PinnedCase& c : kExposedPipes) expect_pinned(c);
 }
 
 // --- model-vs-simulator agreement (the substance of Figure 7) ---------------
