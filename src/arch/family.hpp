@@ -28,6 +28,9 @@
 // matter which thread evaluated it first.
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 namespace scl::arch {
 
 enum class DesignFamily {
@@ -43,6 +46,15 @@ inline const char* to_string(DesignFamily family) {
       return "temporal-shift";
   }
   return "?";
+}
+
+/// Inverse of to_string(); nullopt for an unknown name.
+inline std::optional<DesignFamily> family_from_string(std::string_view name) {
+  for (const auto f :
+       {DesignFamily::kPipeTiling, DesignFamily::kTemporalShift}) {
+    if (name == to_string(f)) return f;
+  }
+  return std::nullopt;
 }
 
 }  // namespace scl::arch

@@ -4,6 +4,7 @@
 #include "codegen/fused_op_gen.hpp"
 #include "codegen/pipe_gen.hpp"
 #include "codegen/temporal_gen.hpp"
+#include "sim/region.hpp"
 #include "support/observability/observability.hpp"
 #include "support/strings.hpp"
 
@@ -152,13 +153,14 @@ std::string render_kernel(const GenContext& ctx, int k) {
 
   // Burst read of the full buffer footprint.
   out += "  // burst read from global memory\n";
+  std::vector<std::string> ivars;
+  for (int d = 0; d < prog.dims(); ++d) ivars.push_back(str_cat("i", d));
+  const std::string cell = join(ivars, ", ");
   const LoopBounds buf = buffer_bounds(ctx, k);
   for (int f = 0; f < prog.field_count(); ++f) {
-    std::vector<std::string> ivars;
-    for (int d = 0; d < prog.dims(); ++d) ivars.push_back(str_cat("i", d));
-    const std::string body = str_cat(
-        ctx.buffer_name(f), "[", index_macro(ctx, k), "(", join(ivars, ", "),
-        ")] = ", ctx.global_in_name(f), "[GIDX(", join(ivars, ", "), ")];");
+    const std::string body =
+        str_cat(ctx.buffer_name(f), "[", index_macro(ctx, k), "(", cell,
+                ")] = ", ctx.global_in_name(f), "[GIDX(", cell, ")];");
     out += render_loop_nest(ctx, buf, body, 2);
   }
   out += "  barrier(CLK_LOCAL_MEM_FENCE);\n\n";
@@ -170,72 +172,28 @@ std::string render_kernel(const GenContext& ctx, int k) {
   for (int f = 0; f < prog.field_count(); ++f) {
     if (prog.is_constant_field(f)) continue;
     const LoopBounds owned = owned_bounds(ctx, k, f);
-    std::vector<std::string> ivars;
-    for (int d = 0; d < prog.dims(); ++d) ivars.push_back(str_cat("i", d));
-    const std::string body = str_cat(
-        ctx.global_out_name(f), "[GIDX(", join(ivars, ", "), ")] = ",
-        ctx.buffer_name(f), "[", index_macro(ctx, k), "(", join(ivars, ", "),
-        ")];");
+    const std::string body =
+        str_cat(ctx.global_out_name(f), "[GIDX(", cell, ")] = ",
+                ctx.buffer_name(f), "[", index_macro(ctx, k), "(", cell, ")];");
     out += render_loop_nest(ctx, owned, body, 2);
   }
   out += "}\n";
   return out;
 }
 
-/// The dimension whose region rows are strip-partitioned across replicas:
-/// the one with the most regions (ties break toward dimension 0), so the
-/// partition has the most rows to hand out.
-int replication_dim(const GenContext& ctx) {
-  const auto& prog = *ctx.program;
-  int best = 0;
-  std::int64_t best_count = 0;
-  for (int d = 0; d < prog.dims(); ++d) {
-    const std::int64_t count =
-        (prog.grid_box().extent(d) + ctx.config.region_extent(d) - 1) /
-        ctx.config.region_extent(d);
-    if (count > best_count) {
-      best = d;
-      best_count = count;
-    }
-  }
-  return best;
-}
-
-/// Kernel-function name of text-kernel `k` within replica `rep`. The
-/// temporal cascade is one kernel text whose compute units are replicated
-/// at link time (--nk stencil_k0:R), so every replica binds "stencil_k0";
-/// pipe-tiling replicas own distinct kernel texts.
-std::string kernel_fn_name(const GenContext& ctx, int rep, int k) {
-  if (ctx.config.family == arch::DesignFamily::kTemporalShift) {
-    return "stencil_k0";
-  }
-  return str_cat("stencil_k",
-                 rep * static_cast<int>(ctx.config.total_kernels()) + k);
-}
-
-/// Host program for R > 1: per-replica command queues, the region sweep's
-/// rows along one dimension strip-partitioned into R contiguous blocks,
-/// swept wave by wave (one region per replica per wave) so the replicas
-/// run concurrently while every region still ends with a queue barrier.
-std::string render_host_replicated(const GenContext& ctx,
-                                   const std::vector<PipeDecl>& pipes) {
+/// Host text up to the region sweep, shared by R = 1 and R > 1: constants,
+/// context, command queue(s), ping-pong buffers (one per constant field),
+/// one kernel object per compute unit and the pass loop head.
+std::string render_host_head(const GenContext& ctx,
+                             const sim::RegionGrid& grid,
+                             const std::vector<PipeDecl>& pipes) {
   const auto& prog = *ctx.program;
   const auto& cfg = ctx.config;
   const int replicas = cfg.replication;
-  const bool temporal = cfg.family == arch::DesignFamily::kTemporalShift;
-  const int per_replica =
-      temporal ? 1 : static_cast<int>(cfg.total_kernels());
-  const int rd = replication_dim(ctx);
-  const std::int64_t rows =
-      (prog.grid_box().extent(rd) + cfg.region_extent(rd) - 1) /
-      cfg.region_extent(rd);
-  const std::int64_t waves = (rows + replicas - 1) / replicas;
-
-  std::string out;
-  out += str_cat(
+  std::string out = str_cat(
       "// Host program generated by stencilcl for ", prog.name(), "\n",
-      "// Design: ", cfg.summary(prog.dims()), " (", pipes.size(),
-      " pipes, ", replicas, " replicas)\n",
+      "// Design: ", cfg.summary(prog.dims()), " (", pipes.size(), " pipes",
+      replicas > 1 ? str_cat(", ", replicas, " replicas") : "", ")\n",
       "#include <CL/cl.h>\n#include <cstdio>\n#include <cstdlib>\n"
       "#include <vector>\n\n"
       "#define CHECK(err)                                         \\\n"
@@ -256,10 +214,13 @@ std::string render_host_replicated(const GenContext& ctx,
     out += str_cat("static const int kGridExtent", d, " = ",
                    prog.grid_box().extent(d), ";\n");
   }
-  out += str_cat("static const int kReplicas = ", replicas,
-                 ";  // spatial PEs on disjoint HBM bank groups\n");
-  out += str_cat("static const int kStripWaves = ", waves,
-                 ";  // region rows along dim ", rd, " per replica\n");
+  if (replicas > 1) {
+    out += str_cat("static const int kReplicas = ", replicas,
+                   ";  // spatial PEs on disjoint HBM bank groups\n");
+    out += str_cat("static const int kStripWaves = ", grid.waves(),
+                   ";  // region rows along dim ", grid.replication_dim(),
+                   " per replica\n");
+  }
 
   out += R"(
 int main() {
@@ -272,15 +233,25 @@ int main() {
   cl_context context =
       clCreateContext(nullptr, 1, &device, nullptr, nullptr, &err);
   CHECK(err);
-  // One out-of-order queue per replica: replicas sweep their strips
-  // concurrently, each queue still orders its own region barrier.
+)";
+  if (replicas > 1) {
+    out +=
+        "  // One out-of-order queue per replica: replicas sweep their strips\n"
+        R"(  // concurrently, each queue still orders its own region barrier.
   cl_command_queue queues[kReplicas];
   for (int q = 0; q < kReplicas; ++q) {
     queues[q] = clCreateCommandQueue(
         context, device, CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE, &err);
     CHECK(err);
   }
-
+)";
+  } else {
+    out += R"(  cl_command_queue queue = clCreateCommandQueue(
+      context, device, CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE, &err);
+  CHECK(err);
+)";
+  }
+  out += R"(
   // Load the xclbin produced by the SDAccel compile of the generated
   // kernels (xocc -t hw stencil_kernels.cl).
   // ... clCreateProgramWithBinary elided: platform specific ...
@@ -302,13 +273,14 @@ int main() {
     }
   }
 
+  // The temporal cascade is one kernel text whose compute units are
+  // replicated at link time (--nk stencil_k0:R), so every replica binds
+  // "stencil_k0"; pipe-tiling replicas own distinct kernel texts.
+  const bool temporal = cfg.family == arch::DesignFamily::kTemporalShift;
   out += "\n  // one kernel object per synthesized compute unit\n";
-  for (int rep = 0; rep < replicas; ++rep) {
-    for (int k = 0; k < per_replica; ++k) {
-      const int idx = rep * per_replica + k;
-      out += str_cat("  cl_kernel k", idx, " = clCreateKernel(program, \"",
-                     kernel_fn_name(ctx, rep, k), "\", &err);\n  CHECK(err);\n");
-    }
+  for (int k = 0; k < ctx.kernel_count(); ++k) {
+    out += str_cat("  cl_kernel k", k, " = clCreateKernel(program, \"stencil_k",
+                   temporal ? 0 : k, "\", &err);\n  CHECK(err);\n");
   }
 
   out += R"(
@@ -316,218 +288,120 @@ int main() {
   for (int t = 0; t < kIterations; t += kPassH) {
     const int pass_h = t + kPassH <= kIterations ? kPassH : kIterations - t;
 )";
-  // Wave loop along the replicated dimension, plain sweeps elsewhere.
-  std::string indent = "    ";
-  out += str_cat(indent, "for (int w = 0; w < kStripWaves; ++w) {\n");
-  indent += "  ";
-  for (int d = 0; d < prog.dims(); ++d) {
-    if (d == rd) continue;
-    out += str_cat(indent, "for (int r", d, " = 0; r", d, " < kGridExtent", d,
-                   "; r", d, " += kRegionExtent", d, ") {\n");
-    indent += "  ";
-  }
-  out += str_cat(indent, "// one region per replica per wave: replica p "
-                         "owns wave rows p*kStripWaves .. "
-                         "p*kStripWaves + kStripWaves - 1\n");
-  for (int rep = 0; rep < replicas; ++rep) {
-    out += str_cat(indent, "{\n");
-    out += str_cat(indent, "  const int r", rd, " = (", rep,
-                   " * kStripWaves + w) * kRegionExtent", rd, ";\n");
-    out += str_cat(indent, "  if (r", rd, " < kGridExtent", rd, ") {\n");
-    const std::string inner = indent + "    ";
-    for (int k = 0; k < per_replica; ++k) {
-      const int idx = rep * per_replica + k;
-      out += str_cat(inner, "{\n");
-      out += str_cat(inner, "  int arg = 0;\n");
-      for (int f = 0; f < prog.field_count(); ++f) {
-        const std::string n = prog.field(f).name;
-        if (prog.is_constant_field(f)) {
-          out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                         ", arg++, sizeof(cl_mem), &", n, "_a));\n");
-        } else {
-          out += str_cat(inner, "  cl_mem ", n,
-                         "_src = pass_parity == 0 ? ", n, "_a : ", n, "_b;\n");
-          out += str_cat(inner, "  cl_mem ", n,
-                         "_dst = pass_parity == 0 ? ", n, "_b : ", n, "_a;\n");
-          out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                         ", arg++, sizeof(cl_mem), &", n, "_src));\n");
-          out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                         ", arg++, sizeof(cl_mem), &", n, "_dst));\n");
-        }
-      }
-      for (int d = 0; d < prog.dims(); ++d) {
-        out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                       ", arg++, sizeof(int), &r", d, "));\n");
-      }
-      out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                     ", arg++, sizeof(int), &pass_h));\n");
-      out += str_cat(inner, "  CHECK(clEnqueueTask(queues[", rep, "], k", idx,
-                     ", 0, nullptr, nullptr));\n");
-      out += str_cat(inner, "}\n");
+  return out;
+}
+
+/// Binds kernel object `k`'s arguments (this pass's ping-pong buffers,
+/// the region origin r0.., the pass depth) and enqueues it on `queue`.
+std::string render_enqueue(const GenContext& ctx, const std::string& indent,
+                           int k, const std::string& queue) {
+  const auto& prog = *ctx.program;
+  std::string out = str_cat(indent, "{\n", indent, "  int arg = 0;\n");
+  for (int f = 0; f < prog.field_count(); ++f) {
+    const std::string n = prog.field(f).name;
+    if (prog.is_constant_field(f)) {
+      out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
+                     ", arg++, sizeof(cl_mem), &", n, "_a));\n");
+    } else {
+      out += str_cat(indent, "  cl_mem ", n, "_src = pass_parity == 0 ? ", n,
+                     "_a : ", n, "_b;\n");
+      out += str_cat(indent, "  cl_mem ", n, "_dst = pass_parity == 0 ? ", n,
+                     "_b : ", n, "_a;\n");
+      out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
+                     ", arg++, sizeof(cl_mem), &", n, "_src));\n");
+      out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
+                     ", arg++, sizeof(cl_mem), &", n, "_dst));\n");
     }
-    out += str_cat(indent, "  }\n");
-    out += str_cat(indent, "}\n");
   }
-  out += str_cat(indent,
-                 "for (int q = 0; q < kReplicas; ++q) {\n", indent,
-                 "  CHECK(clFinish(queues[q]));  // per-replica region "
-                 "barrier\n", indent, "}\n");
-  for (int d = prog.dims() - 1; d >= 0; --d) {
+  for (int d = 0; d < prog.dims(); ++d) {
+    out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
+                   ", arg++, sizeof(int), &r", d, "));\n");
+  }
+  out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
+                 ", arg++, sizeof(int), &pass_h));\n");
+  out += str_cat(indent, "  CHECK(clEnqueueTask(", queue, ", k", k,
+                 ", 0, nullptr, nullptr));\n");
+  out += str_cat(indent, "}\n");
+  return out;
+}
+
+/// The region sweep of one pass. R = 1: one queue visits every region in
+/// row-major order with a barrier after each. R > 1: the replica wave
+/// schedule of sim::RegionGrid, one region per replica per wave slot, with
+/// a barrier over every queue after each slot.
+std::string render_sweep(const GenContext& ctx, const sim::RegionGrid& grid) {
+  const int replicas = ctx.config.replication;
+  const int rd = replicas > 1 ? grid.replication_dim() : -1;
+  std::string out;
+  std::string indent = "    ";
+  int loops = 0;
+  auto open_loop = [&](const std::string& head) {
+    out += indent + head;
+    indent += "  ";
+    ++loops;
+  };
+  if (replicas > 1) open_loop("for (int w = 0; w < kStripWaves; ++w) {\n");
+  for (int d = 0; d < ctx.program->dims(); ++d) {
     if (d == rd) continue;
-    indent = indent.substr(0, indent.size() - 2);
+    open_loop(str_cat("for (int r", d, " = 0; r", d, " < kGridExtent", d,
+                      "; r", d, " += kRegionExtent", d, ") {\n"));
+  }
+  if (replicas == 1) {
+    out += str_cat(indent,
+                   "// bind ping-pong buffers and enqueue the region's ",
+                   ctx.kernel_count(), " kernels\n");
+    for (int k = 0; k < ctx.kernel_count(); ++k) {
+      out += render_enqueue(ctx, indent, k, "queue");
+    }
+    out += str_cat(indent,
+                   "CHECK(clFinish(queue));  // inter-kernel synchronization "
+                   "barrier\n");
+  } else {
+    out += str_cat(indent, "// one region per replica per wave: replica p "
+                           "owns wave rows p*kStripWaves .. "
+                           "p*kStripWaves + kStripWaves - 1\n");
+    const int per_replica = ctx.kernel_count() / replicas;
+    for (int rep = 0; rep < replicas; ++rep) {
+      out += str_cat(indent, "{\n");
+      out += str_cat(indent, "  const int r", rd, " = (", rep,
+                     " * kStripWaves + w) * kRegionExtent", rd, ";\n");
+      out += str_cat(indent, "  if (r", rd, " < kGridExtent", rd, ") {\n");
+      for (int k = 0; k < per_replica; ++k) {
+        out += render_enqueue(ctx, indent + "    ", rep * per_replica + k,
+                              str_cat("queues[", rep, "]"));
+      }
+      out += str_cat(indent, "  }\n");
+      out += str_cat(indent, "}\n");
+    }
+    out += str_cat(indent,
+                   "for (int q = 0; q < kReplicas; ++q) {\n", indent,
+                   "  CHECK(clFinish(queues[q]));  // per-replica region "
+                   "barrier\n", indent, "}\n");
+  }
+  for (; loops > 0; --loops) {
+    indent.resize(indent.size() - 2);
     out += indent + "}\n";
   }
-  indent = indent.substr(0, indent.size() - 2);
-  out += indent + "}\n";
-  out += R"(    pass_parity ^= 1;
-  }
-
-  // read back the final state (elided: clEnqueueReadBuffer per field)
-  for (int q = 0; q < kReplicas; ++q) {
-    clReleaseCommandQueue(queues[q]);
-  }
-  clReleaseContext(context);
-  return 0;
-}
-)";
   return out;
 }
 
 std::string render_host(const GenContext& ctx,
                         const std::vector<PipeDecl>& pipes) {
-  if (ctx.config.replication > 1) return render_host_replicated(ctx, pipes);
-  const auto& prog = *ctx.program;
-  const auto& cfg = ctx.config;
-  std::string out;
-  out += str_cat(
-      "// Host program generated by stencilcl for ", prog.name(), "\n",
-      "// Design: ", cfg.summary(prog.dims()), " (", pipes.size(),
-      " pipes)\n",
-      "#include <CL/cl.h>\n#include <cstdio>\n#include <cstdlib>\n"
-      "#include <vector>\n\n"
-      "#define CHECK(err)                                         \\\n"
-      "  if ((err) != CL_SUCCESS) {                               \\\n"
-      "    std::fprintf(stderr, \"OpenCL error %d at line %d\\n\", \\\n"
-      "                 (err), __LINE__);                         \\\n"
-      "    std::exit(1);                                          \\\n"
-      "  }\n\n");
-
-  std::int64_t grid_cells = 1;
-  for (int d = 0; d < prog.dims(); ++d) grid_cells *= prog.grid_box().extent(d);
-  out += str_cat("static const size_t kGridCells = ", grid_cells, ";\n");
-  out += str_cat("static const int kPassH = ", cfg.fused_iterations, ";\n");
-  out += str_cat("static const int kIterations = ", prog.iterations(), ";\n");
-  for (int d = 0; d < prog.dims(); ++d) {
-    out += str_cat("static const int kRegionExtent", d, " = ",
-                   cfg.region_extent(d), ";\n");
-    out += str_cat("static const int kGridExtent", d, " = ",
-                   prog.grid_box().extent(d), ";\n");
-  }
-
-  out += R"(
-int main() {
-  cl_int err = CL_SUCCESS;
-  cl_platform_id platform;
-  CHECK(clGetPlatformIDs(1, &platform, nullptr));
-  cl_device_id device;
-  CHECK(clGetDeviceIDs(platform, CL_DEVICE_TYPE_ACCELERATOR, 1, &device,
-                       nullptr));
-  cl_context context =
-      clCreateContext(nullptr, 1, &device, nullptr, nullptr, &err);
-  CHECK(err);
-  cl_command_queue queue = clCreateCommandQueue(
-      context, device, CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE, &err);
-  CHECK(err);
-
-  // Load the xclbin produced by the SDAccel compile of the generated
-  // kernels (xocc -t hw stencil_kernels.cl).
-  // ... clCreateProgramWithBinary elided: platform specific ...
-  cl_program program = nullptr;  // created from the xclbin
-)";
-
-  // Buffers: ping-pong pairs per mutable field, single buffer for
-  // constant fields.
-  for (int f = 0; f < prog.field_count(); ++f) {
-    const std::string n = prog.field(f).name;
-    out += str_cat("  std::vector<float> host_", n, "(kGridCells);\n");
-    out += str_cat("  cl_mem ", n,
-                   "_a = clCreateBuffer(context, CL_MEM_READ_WRITE,\n"
-                   "      kGridCells * sizeof(float), nullptr, &err);\n"
-                   "  CHECK(err);\n");
-    if (!prog.is_constant_field(f)) {
-      out += str_cat("  cl_mem ", n,
-                     "_b = clCreateBuffer(context, CL_MEM_READ_WRITE,\n"
-                     "      kGridCells * sizeof(float), nullptr, &err);\n"
-                     "  CHECK(err);\n");
-    }
-  }
-
-  out += "\n  // one kernel object per synthesized compute unit\n";
-  for (int k = 0; k < ctx.kernel_count(); ++k) {
-    out += str_cat("  cl_kernel k", k, " = clCreateKernel(program, \"stencil_k",
-                   k, "\", &err);\n  CHECK(err);\n");
-  }
-
-  // Region sweep.
-  out += R"(
-  int pass_parity = 0;
-  for (int t = 0; t < kIterations; t += kPassH) {
-    const int pass_h = t + kPassH <= kIterations ? kPassH : kIterations - t;
-)";
-  std::string indent = "    ";
-  for (int d = 0; d < prog.dims(); ++d) {
-    out += str_cat(indent, "for (int r", d, " = 0; r", d, " < kGridExtent", d,
-                   "; r", d, " += kRegionExtent", d, ") {\n");
-    indent += "  ";
-  }
-  out += str_cat(indent,
-                 "// bind ping-pong buffers and enqueue the region's ",
-                 ctx.kernel_count(), " kernels\n");
-  for (int k = 0; k < ctx.kernel_count(); ++k) {
-    out += str_cat(indent, "{\n");
-    out += str_cat(indent, "  int arg = 0;\n");
-    for (int f = 0; f < prog.field_count(); ++f) {
-      const std::string n = prog.field(f).name;
-      if (prog.is_constant_field(f)) {
-        out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                       ", arg++, sizeof(cl_mem), &", n, "_a));\n");
-      } else {
-        out += str_cat(indent, "  cl_mem ", n,
-                       "_src = pass_parity == 0 ? ", n, "_a : ", n, "_b;\n");
-        out += str_cat(indent, "  cl_mem ", n,
-                       "_dst = pass_parity == 0 ? ", n, "_b : ", n, "_a;\n");
-        out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                       ", arg++, sizeof(cl_mem), &", n, "_src));\n");
-        out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                       ", arg++, sizeof(cl_mem), &", n, "_dst));\n");
-      }
-    }
-    for (int d = 0; d < prog.dims(); ++d) {
-      out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                     ", arg++, sizeof(int), &r", d, "));\n");
-    }
-    out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                   ", arg++, sizeof(int), &pass_h));\n");
-    out += str_cat(indent, "  CHECK(clEnqueueTask(queue, k", k,
-                   ", 0, nullptr, nullptr));\n");
-    out += str_cat(indent, "}\n");
-  }
-  out += str_cat(indent,
-                 "CHECK(clFinish(queue));  // inter-kernel synchronization "
-                 "barrier\n");
-  for (int d = prog.dims() - 1; d >= 0; --d) {
-    indent = indent.substr(0, indent.size() - 2);
-    out += indent + "}\n";
-  }
+  const bool replicated = ctx.config.replication > 1;
+  const sim::RegionGrid grid(*ctx.program, ctx.config);
+  std::string out = render_host_head(ctx, grid, pipes);
+  out += render_sweep(ctx, grid);
   out += R"(    pass_parity ^= 1;
   }
 
   // read back the final state (elided: clEnqueueReadBuffer per field)
-  clReleaseCommandQueue(queue);
-  clReleaseContext(context);
-  return 0;
-}
 )";
+  out += replicated ? R"(  for (int q = 0; q < kReplicas; ++q) {
+    clReleaseCommandQueue(queues[q]);
+  }
+)"
+                    : "  clReleaseCommandQueue(queue);\n";
+  out += "  clReleaseContext(context);\n  return 0;\n}\n";
   return out;
 }
 

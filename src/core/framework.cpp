@@ -13,9 +13,9 @@ std::string to_string(FamilySelection family) {
     case FamilySelection::kAuto:
       return "auto";
     case FamilySelection::kPipeTiling:
-      return "pipe-tiling";
+      return arch::to_string(arch::DesignFamily::kPipeTiling);
     case FamilySelection::kTemporalShift:
-      return "temporal-shift";
+      return arch::to_string(arch::DesignFamily::kTemporalShift);
   }
   return "?";
 }

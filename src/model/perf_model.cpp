@@ -189,9 +189,9 @@ Prediction PerfModel::predict(const DesignConfig& config) const {
 
   Prediction out;
   // Eq. 2 with the H/h fix: passes times spatial regions. With spatial
-  // replication the pass's regions are strip-partitioned across the R
-  // independent replicas, so the critical path sees ceil(regions/R) of
-  // them (exact at R = 1: ceil_div(s, 1) == s).
+  // replication the critical path sees ceil(regions/R) of them: never
+  // more than the simulator's wave slots (sim/region.hpp), and exact at
+  // R = 1 where ceil_div(s, 1) == s.
   std::int64_t spatial_regions = 1;
   for (int d = 0; d < prog.dims(); ++d) {
     spatial_regions *= ceil_div(prog.grid_box().extent(d),

@@ -183,14 +183,11 @@ void write_design_config(JsonWriter* json, const sim::DesignConfig& config) {
 sim::DesignConfig parse_design_config(const JsonValue& v) {
   sim::DesignConfig config;
   const std::string& family = v.at("family").as_string();
-  if (family == arch::to_string(arch::DesignFamily::kPipeTiling)) {
-    config.family = arch::DesignFamily::kPipeTiling;
-  } else if (family ==
-             arch::to_string(arch::DesignFamily::kTemporalShift)) {
-    config.family = arch::DesignFamily::kTemporalShift;
-  } else {
+  const auto parsed_family = arch::family_from_string(family);
+  if (!parsed_family) {
     throw Error(str_cat("artifact: unknown design family \"", family, "\""));
   }
+  config.family = *parsed_family;
   const std::string& kind = v.at("kind").as_string();
   if (kind == sim::to_string(sim::DesignKind::kBaseline)) {
     config.kind = sim::DesignKind::kBaseline;
@@ -332,12 +329,12 @@ SynthesisArtifact parse_artifact(const std::string& payload) {
   artifact.baseline = parse_design_point(v.at("baseline"));
   artifact.heterogeneous = parse_design_point(v.at("heterogeneous"));
   const std::string& family = v.at("selected_family").as_string();
-  if (family == arch::to_string(arch::DesignFamily::kTemporalShift)) {
-    artifact.selected_family = arch::DesignFamily::kTemporalShift;
-  } else if (family != arch::to_string(arch::DesignFamily::kPipeTiling)) {
+  const auto selected = arch::family_from_string(family);
+  if (!selected) {
     throw Error(str_cat("artifact: unknown selected family \"", family,
                         "\""));
   }
+  artifact.selected_family = *selected;
   if (const JsonValue* temporal = v.find("temporal")) {
     artifact.temporal = parse_design_point(*temporal);
   }

@@ -42,7 +42,7 @@ inline constexpr int kArtifactSchemaVersion = 3;
 /// Version tag of the synthesis code itself. Bump whenever model,
 /// optimizer, codegen or verifier changes could alter results for the
 /// same input — stale artifacts must not be served.
-inline constexpr const char* kCodeVersion = "scl-serve-4";
+inline constexpr const char* kCodeVersion = "scl-serve-5";
 
 /// FNV-1a over `data` starting from `seed` (defaults to the standard
 /// 64-bit offset basis).

@@ -1,5 +1,6 @@
 #include "sim/executor.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -58,6 +59,13 @@ Executor::RegionOutcome Executor::run_region(
     by_coord[static_cast<std::size_t>(
         coord_key(t.coord[0], t.coord[1], t.coord[2]))] = &t;
   }
+  // The sibling across `t`'s interior face (d, side).
+  auto neighbor = [&](const TilePlacement& t, std::size_t ds,
+                      int side) -> const TilePlacement& {
+    std::array<int, 3> nc = t.coord;
+    nc[ds] += side == 0 ? -1 : +1;
+    return *by_coord[static_cast<std::size_t>(coord_key(nc[0], nc[1], nc[2]))];
+  };
 
   // Create pipe pairs for every interior face (heterogeneous design only).
   // One directed pipe per (tile, face); FIFOs are sized to hold at least
@@ -71,10 +79,7 @@ Executor::RegionOutcome Executor::run_region(
         const auto ds = static_cast<std::size_t>(d);
         for (int side = 0; side < 2; ++side) {
           if (t.exterior[ds][static_cast<std::size_t>(side)]) continue;
-          std::array<int, 3> nc = t.coord;
-          nc[ds] += side == 0 ? -1 : +1;
-          const TilePlacement& nb =
-              *by_coord[static_cast<std::size_t>(coord_key(nc[0], nc[1], nc[2]))];
+          const TilePlacement& nb = neighbor(t, ds, side);
           const Face face{d, side == 0 ? -1 : +1};
           const std::int64_t strip =
               max_face_strip_elements(program, t, nb, face, pass_iterations);
@@ -113,10 +118,7 @@ Executor::RegionOutcome Executor::run_region(
         const auto ds = static_cast<std::size_t>(d);
         for (int side = 0; side < 2; ++side) {
           if (t.exterior[ds][static_cast<std::size_t>(side)]) continue;
-          std::array<int, 3> nc = t.coord;
-          nc[ds] += side == 0 ? -1 : +1;
-          const TilePlacement& nb =
-              *by_coord[static_cast<std::size_t>(coord_key(nc[0], nc[1], nc[2]))];
+          const TilePlacement& nb = neighbor(t, ds, side);
           params.neighbors[ds][static_cast<std::size_t>(side)] = nb;
           params.out_pipes[ds][static_cast<std::size_t>(side)] =
               out_pipe_of.at({t.kernel_index, face_id(d, side)});
@@ -148,6 +150,27 @@ Executor::RegionOutcome Executor::run_region(
   }
   outcome.bytes = memory.total_bytes();
   return outcome;
+}
+
+void Executor::accumulate_waves(
+    const std::vector<RegionGrid::WaveSlot>& slots,
+    const std::vector<RegionOutcome>& outcomes, std::int64_t passes,
+    SimResult* result) {
+  for (const RegionGrid::WaveSlot& slot : slots) {
+    const std::int64_t times = slot.count * passes;
+    const RegionOutcome* slowest = nullptr;
+    for (const std::int64_t run : slot.runs) {
+      if (run < 0) continue;
+      const RegionOutcome& o = outcomes[static_cast<std::size_t>(run)];
+      if (slowest == nullptr || o.cycles > slowest->cycles) slowest = &o;
+      result->cells_owned += o.cells_owned * times;
+      result->cells_redundant += o.cells_redundant * times;
+      result->pipe_elements += o.pipe_elements * times;
+      result->global_memory_bytes += o.bytes * times;
+    }
+    result->total_cycles += slowest->cycles * times;
+    result->phases += slowest->phases * times;
+  }
 }
 
 SimResult Executor::run_temporal(const StencilProgram& program,
@@ -186,46 +209,37 @@ SimResult Executor::run_temporal(const StencilProgram& program,
                                    StencilProgram::element_bytes();
   const auto mem = static_cast<std::int64_t>(
       std::ceil(static_cast<double>(read_bytes + write_bytes) / bw_share));
-  const std::int64_t region_cycles =
+  const std::int64_t walk = comp + fill_drain;
+  const std::int64_t exposed = std::max<std::int64_t>(0, mem - comp);
+  RegionOutcome strip;  // every strip execution; only the owned box varies
+  strip.cycles =
       device_.kernel_launch_cycles + std::max(comp, mem) + fill_drain;
+  strip.bytes = read_bytes + write_bytes;
+  strip.phases.launch = device_.kernel_launch_cycles;
+  strip.phases.mem_read =
+      exposed * read_bytes / std::max<std::int64_t>(1, strip.bytes);
+  strip.phases.mem_write = exposed - strip.phases.mem_read;
 
+  std::vector<RegionOutcome> outcomes;
   for (const auto& shape : grid.distinct_shapes()) {
-    const std::int64_t owned_clip = shape.plan.box.volume();
-    const std::int64_t times = shape.count * grid.passes();
-    // R replica cascades strip-partition each pass's regions; wall-clock
-    // follows the most-loaded replica while work totals stay exact.
-    const std::int64_t critical =
-        ceil_div(shape.count, static_cast<std::int64_t>(config.replication)) *
-        grid.passes();
-    result.total_cycles += region_cycles * critical;
-    result.cells_owned += owned_clip * times;
-    result.cells_redundant += (layout.cells - owned_clip) * times;
-    result.global_memory_bytes += (read_bytes + write_bytes) * times;
-
-    PhaseBreakdown phases;
-    phases.launch = device_.kernel_launch_cycles;
-    const std::int64_t walk = comp + fill_drain;
-    phases.compute_own =
-        layout.cells > 0 ? walk * owned_clip / layout.cells : walk;
-    phases.compute_redundant = walk - phases.compute_own;
-    const std::int64_t exposed = std::max<std::int64_t>(0, mem - comp);
-    phases.mem_read =
-        exposed * read_bytes / std::max<std::int64_t>(1, read_bytes +
-                                                             write_bytes);
-    phases.mem_write = exposed - phases.mem_read;
-    result.phases += phases * critical;
+    RegionOutcome& o = outcomes.emplace_back(strip);
+    o.cells_owned = shape.plan.box.volume();
+    o.cells_redundant = layout.cells - o.cells_owned;
+    o.phases.compute_own =
+        layout.cells > 0 ? walk * o.cells_owned / layout.cells : walk;
+    o.phases.compute_redundant = walk - o.phases.compute_own;
   }
+  accumulate_waves(grid.wave_slots(RegionGrid::SlotUnit::kShape), outcomes,
+                   grid.passes(), &result);
 
   if (mode == SimMode::kFunctional) {
     // The cascade applies exactly the reference update schedule (taps read
     // the previous committed state, boundary cells pass through), so the
     // spatial twin — a single-tile baseline over the same strips — yields
     // bit-identical field contents.
-    SimResult twin = run(program, arch::spatial_twin(config), mode);
-    result.fields = std::move(twin.fields);
+    result.fields =
+        run_pipe_tiling(program, arch::spatial_twin(config), mode).fields;
   }
-  result.total_ms =
-      device_.cycles_to_ms(static_cast<double>(result.total_cycles));
   return result;
 }
 
@@ -238,10 +252,9 @@ RegionTrace Executor::trace_region(const StencilProgram& program,
   // Prefer the most common shape (the interior, full-size region).
   const auto shapes = grid.distinct_shapes();
   SCL_CHECK(!shapes.empty(), "no regions to trace");
-  const RegionGrid::ShapeCount* pick = &shapes.front();
-  for (const auto& shape : shapes) {
-    if (shape.count > pick->count) pick = &shape;
-  }
+  const auto pick = std::max_element(
+      shapes.begin(), shapes.end(),
+      [](const auto& a, const auto& b) { return a.count < b.count; });
   RegionTrace trace;
   const RegionOutcome outcome =
       run_region(program, config, pick->plan, config.fused_iterations,
@@ -250,71 +263,60 @@ RegionTrace Executor::trace_region(const StencilProgram& program,
   return trace;
 }
 
-SimResult Executor::run(const StencilProgram& program,
-                        const DesignConfig& config, SimMode mode) const {
-  const auto span = support::obs::tracer().span("sim/run", "sim");
-  if (config.family == arch::DesignFamily::kTemporalShift) {
-    return run_temporal(program, config, mode);
-  }
-  const auto sim_start = std::chrono::steady_clock::now();
+SimResult Executor::run_pipe_tiling(const StencilProgram& program,
+                                    const DesignConfig& config,
+                                    SimMode mode) const {
   const RegionGrid grid(program, config);
   SimResult result;
   result.region_executions = grid.total_region_executions();
 
-  // `times` counts region executions (work totals); `critical_times` is
-  // the longest per-replica share of them when R replicas sweep regions
-  // of a pass concurrently. At R=1 the two coincide.
-  auto accumulate = [&result](const RegionOutcome& o, std::int64_t times,
-                              std::int64_t critical_times) {
-    result.total_cycles += o.cycles * critical_times;
-    result.phases += o.phases * critical_times;
-    result.cells_owned += o.cells_owned * times;
-    result.cells_redundant += o.cells_redundant * times;
-    result.pipe_elements += o.pipe_elements * times;
-    result.global_memory_bytes += o.bytes * times;
-  };
-
-  if (mode == SimMode::kFunctional) {
-    FieldSet current =
-        scl::stencil::make_initial_state(program, program.grid_box());
-    FieldSet next = current;
-    const std::vector<RegionPlan> regions = grid.all_regions();
-    for (std::int64_t pass = 0; pass < grid.passes(); ++pass) {
-      const std::int64_t h = pass + 1 == grid.passes()
-                                 ? grid.last_pass_iterations()
-                                 : config.fused_iterations;
-      for (const RegionPlan& plan : regions) {
-        accumulate(run_region(program, config, plan, h, mode, &current, &next),
-                   1, 1);
-      }
-      std::swap(current, next);
-    }
-    result.fields = std::move(current);
+  const bool functional = mode == SimMode::kFunctional;
+  std::vector<RegionPlan> plans;
+  if (functional) {
+    plans = grid.all_regions();
   } else {
-    // One representative per (region shape, pass length).
-    const auto shapes = grid.distinct_shapes();
-    const std::int64_t full_passes =
-        grid.last_pass_iterations() == config.fused_iterations
-            ? grid.passes()
-            : grid.passes() - 1;
-    for (const auto& shape : shapes) {
-      const std::int64_t critical_count = ceil_div(
-          shape.count, static_cast<std::int64_t>(config.replication));
-      if (full_passes > 0) {
-        accumulate(run_region(program, config, shape.plan,
-                              config.fused_iterations, mode, nullptr, nullptr),
-                   shape.count * full_passes, critical_count * full_passes);
-      }
-      if (full_passes != grid.passes()) {
-        accumulate(run_region(program, config, shape.plan,
-                              grid.last_pass_iterations(), mode, nullptr,
-                              nullptr),
-                   shape.count, critical_count);
-      }
+    for (auto& shape : grid.distinct_shapes()) {
+      plans.push_back(std::move(shape.plan));
     }
   }
+  const auto slots = grid.wave_slots(functional ? RegionGrid::SlotUnit::kRegion
+                                                : RegionGrid::SlotUnit::kShape);
+  FieldSet current = functional ? scl::stencil::make_initial_state(
+                                      program, program.grid_box())
+                                : FieldSet{};
+  FieldSet next = current;
+  // Timing-only runs the full-length passes once and repeats them.
+  const std::int64_t full_passes =
+      grid.passes() -
+      (grid.last_pass_iterations() == config.fused_iterations ? 0 : 1);
+  std::vector<RegionOutcome> outcomes(plans.size());
+  for (std::int64_t pass = 0; pass < grid.passes();) {
+    const bool full = pass < full_passes;
+    const std::int64_t h =
+        full ? config.fused_iterations : grid.last_pass_iterations();
+    const std::int64_t repeat = full && !functional ? full_passes : 1;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      outcomes[i] = run_region(program, config, plans[i], h, mode,
+                               functional ? &current : nullptr,
+                               functional ? &next : nullptr);
+    }
+    accumulate_waves(slots, outcomes, repeat, &result);
+    std::swap(current, next);
+    pass += repeat;
+  }
+  if (functional) result.fields = std::move(current);
+  return result;
+}
 
-  result.total_ms = device_.cycles_to_ms(static_cast<double>(result.total_cycles));
+SimResult Executor::run(const StencilProgram& program,
+                        const DesignConfig& config, SimMode mode) const {
+  const auto span = support::obs::tracer().span("sim/run", "sim");
+  const auto sim_start = std::chrono::steady_clock::now();
+  SimResult result = config.family == arch::DesignFamily::kTemporalShift
+                         ? run_temporal(program, config, mode)
+                         : run_pipe_tiling(program, config, mode);
+  result.total_ms =
+      device_.cycles_to_ms(static_cast<double>(result.total_cycles));
   if (support::obs::enabled()) {
     // Simulator wall time next to the modeled device cycles: the gap
     // between "how long the simulation took" and "how long the design

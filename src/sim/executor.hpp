@@ -9,6 +9,8 @@
 // Timing-only mode exploits that regions with identical shape and grid-edge
 // adjacency behave identically: it simulates one representative region per
 // distinct shape (and per distinct pass length) and multiplies.
+// Both modes, and both families, take the clock from RegionGrid's replica
+// wave slots, so they agree at every replication factor.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +27,11 @@
 namespace scl::sim {
 
 struct SimResult {
+  /// Critical path: the sum over wave slots of each slot's slowest region.
   std::int64_t total_cycles = 0;
   double total_ms = 0.0;
-  /// Per-phase cycles summed over every kernel of every region execution.
+  /// Per-phase cycles summed over every kernel of each wave slot's
+  /// slowest region (at R = 1: of every region execution).
   PhaseBreakdown phases;
   std::int64_t region_executions = 0;
   std::int64_t cells_owned = 0;
@@ -94,6 +98,15 @@ class Executor {
                            const scl::stencil::FieldSet* global_in,
                            scl::stencil::FieldSet* global_out,
                            std::vector<TraceEvent>* trace = nullptr) const;
+
+  /// Adds `passes` repetitions of one pass: each slot's slowest region
+  /// joins the critical path, every region's work joins the totals.
+  static void accumulate_waves(const std::vector<RegionGrid::WaveSlot>& slots,
+                               const std::vector<RegionOutcome>& outcomes,
+                               std::int64_t passes, SimResult* result);
+
+  SimResult run_pipe_tiling(const scl::stencil::StencilProgram& program,
+                            const DesignConfig& config, SimMode mode) const;
 
   /// Temporal-shift family (arch/family.hpp): models the single-kernel
   /// deep pipeline — per strip, one walk of the padded strip through the

@@ -1,5 +1,7 @@
 #include "sim/region.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 #include "support/math.hpp"
 
@@ -31,6 +33,7 @@ RegionGrid::RegionGrid(const StencilProgram& program,
     // Segments farther than that "reach" from both borders and with equal
     // extent are interchangeable; everything nearer gets its own class.
     std::vector<SegmentClass>& classes = classes_[ds];
+    std::vector<std::int64_t>& class_of = class_of_[ds];
     auto extent_at = [&](std::int64_t i) {
       return std::min(r, w - i * r);
     };
@@ -47,6 +50,7 @@ RegionGrid::RegionGrid(const StencilProgram& program,
       const std::int64_t extent = extent_at(i);
       const bool generic =
           lo >= reach_low && lo + extent <= w - reach_high && extent == r;
+      class_of.push_back(generic ? -1 : std::ssize(classes));  // generic: below
       if (generic) {
         ++generic_count;
         if (generic_lo < 0) generic_lo = lo;
@@ -55,9 +59,16 @@ RegionGrid::RegionGrid(const StencilProgram& program,
       }
     }
     if (generic_count > 0) {
+      std::replace(class_of.begin(), class_of.end(), std::int64_t{-1},
+                   static_cast<std::int64_t>(classes.size()));
       classes.push_back({generic_lo, r, generic_count, false, false});
     }
+    if (n > region_counts_[static_cast<std::size_t>(replication_dim_)]) {
+      replication_dim_ = d;
+    }
   }
+  waves_ = ceil_div(region_counts_[static_cast<std::size_t>(replication_dim_)],
+                    static_cast<std::int64_t>(config.replication));
 
   passes_ = ceil_div(program.iterations(), config.fused_iterations);
   last_pass_iterations_ =
@@ -159,6 +170,61 @@ std::vector<RegionGrid::ShapeCount> RegionGrid::distinct_shapes() const {
         sc.plan = make_region({c0.lo, c1.lo, c2.lo},
                               {c0.extent, c1.extent, c2.extent});
         out.push_back(std::move(sc));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<RegionGrid::WaveSlot> RegionGrid::wave_slots(
+    SlotUnit unit) const {
+  const bool by_shape = unit == SlotUnit::kShape;
+  const auto replicas = static_cast<std::size_t>(config_.replication);
+  // Each dimension's sweep as slots of its own: what each replica indexes
+  // there. Only the replicated dimension differs (row p*waves + w).
+  std::array<std::vector<WaveSlot>, 3> steps;
+  std::array<std::int64_t, 3> sizes{};
+  for (int d = 0; d < 3; ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    const bool replicated = d == replication_dim_;
+    sizes[ds] = by_shape ? std::ssize(classes_[ds]) : region_counts_[ds];
+    for (std::int64_t i = 0; i < (replicated ? waves_ : sizes[ds]); ++i) {
+      WaveSlot step{std::vector<std::int64_t>(replicas, i), 1};
+      if (by_shape && !replicated) {
+        step.count = classes_[ds][static_cast<std::size_t>(i)].count;
+      }
+      for (std::size_t p = 0; replicated && p < replicas; ++p) {
+        const std::int64_t row = static_cast<std::int64_t>(p) * waves_ + i;
+        step.runs[p] = row >= region_counts_[ds] ? -1
+                       : by_shape ? class_of_[ds][static_cast<std::size_t>(row)]
+                                  : row;
+      }
+      const auto same =
+          by_shape ? std::find_if(steps[ds].begin(), steps[ds].end(),
+                                  [&](const WaveSlot& s) {
+                                    return s.runs == step.runs;
+                                  })
+                   : steps[ds].end();
+      if (same != steps[ds].end()) {
+        same->count += step.count;
+      } else {
+        steps[ds].push_back(std::move(step));
+      }
+    }
+  }
+
+  std::vector<WaveSlot> out;
+  for (const WaveSlot& s0 : steps[0]) {
+    for (const WaveSlot& s1 : steps[1]) {
+      for (const WaveSlot& s2 : steps[2]) {
+        WaveSlot& slot = out.emplace_back(
+            WaveSlot{std::vector<std::int64_t>(replicas, -1),
+                     s0.count * s1.count * s2.count});
+        for (std::size_t p = 0; p < replicas; ++p) {
+          if (std::min({s0.runs[p], s1.runs[p], s2.runs[p]}) < 0) continue;
+          slot.runs[p] =
+              (s0.runs[p] * sizes[1] + s1.runs[p]) * sizes[2] + s2.runs[p];
+        }
       }
     }
   }

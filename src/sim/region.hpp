@@ -1,9 +1,14 @@
-// Region decomposition (paper §4.1).
+// Region decomposition (paper §4.1) and the replica wave schedule.
 //
 // The input grid is covered by regions; one region holds the K = prod(K_d)
 // tiles processed concurrently by the K synthesized kernels, and regions
 // are processed sequentially. The time dimension is cut into passes of h
 // fused iterations (the last pass may be shorter when h does not divide H).
+//
+// R replicas sweep a pass in wave slots, as the replicated host does: each
+// slot runs one region per replica and ends when the slowest finishes, so
+// a pass's critical path is the sum of its slots' slowest regions (at
+// R = 1, of all its regions).
 //
 // For timing simulation the decomposition also exposes the *distinct*
 // region shapes: two regions behave identically iff they have the same
@@ -79,6 +84,23 @@ class RegionGrid {
   };
   std::vector<ShapeCount> distinct_shapes() const;
 
+  /// The dimension with the most region rows (ties toward dimension 0):
+  /// its rows are strip-partitioned into R blocks of waves() rows, and
+  /// replica p runs row p*waves() + w in wave w.
+  int replication_dim() const { return replication_dim_; }
+  std::int64_t waves() const { return waves_; }
+
+  /// One wave slot of a pass (or `count` identical ones): per replica the
+  /// region or shape it runs, -1 past the grid edge.
+  struct WaveSlot {
+    std::vector<std::int64_t> runs;
+    std::int64_t count = 0;
+  };
+  /// kRegion: runs index all_regions(), every slot listed once.
+  /// kShape: runs index distinct_shapes(), identical slots merged.
+  enum class SlotUnit { kRegion, kShape };
+  std::vector<WaveSlot> wave_slots(SlotUnit unit) const;
+
  private:
   /// One class of identical segments along a dimension.
   struct SegmentClass {
@@ -96,6 +118,9 @@ class RegionGrid {
   DesignConfig config_;
   std::array<std::int64_t, 3> region_counts_{1, 1, 1};
   std::array<std::vector<SegmentClass>, 3> classes_;
+  std::array<std::vector<std::int64_t>, 3> class_of_;  ///< segment -> class
+  int replication_dim_ = 0;
+  std::int64_t waves_ = 0;
   std::int64_t regions_per_pass_ = 0;
   std::int64_t passes_ = 0;
   std::int64_t last_pass_iterations_ = 0;

@@ -234,20 +234,27 @@ std::int64_t TileTask::charge_compute(const Box& box, bool with_depth) {
 }
 
 void TileTask::evaluate_chunk(const Box& chunk) {
-  if (params_.mode != SimMode::kFunctional || chunk.empty()) return;
+  if (params_.mode != SimMode::kFunctional) return;
   const StencilProgram& prog = program();
   const Stage& st = prog.stage(stage_);
+  // compute_box() can pin a cone edge at the Dirichlet boundary beyond the
+  // buffer; those discarded cells would read unloaded cells: skip them.
+  Box box = chunk;
+  for (const auto& read : st.reads) {
+    box = box.intersect(buffer_box_.shifted_back(read.offset));
+  }
+  if (box.empty()) return;
   FieldSet& fields = *fields_;
   Grid<float>& out = fields[static_cast<std::size_t>(st.output_field)];
   if (prog.stage_needs_double_buffer(stage_)) {
     if (!shadow_.has_value()) shadow_.emplace(buffer_box_);
     Grid<float>& shadow = *shadow_;
     scl::stencil::evaluate_stage(
-        prog, stage_, fields, chunk,
+        prog, stage_, fields, box,
         [&](const Index& p, float v) { shadow.at(p) = v; });
   } else {
     scl::stencil::evaluate_stage(
-        prog, stage_, fields, chunk,
+        prog, stage_, fields, box,
         [&](const Index& p, float v) { out.at(p) = v; });
   }
 }

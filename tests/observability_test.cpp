@@ -8,7 +8,12 @@
 #include <utility>
 #include <vector>
 
+#include "arch/family.hpp"
+#include "fpga/device.hpp"
+#include "sim/executor.hpp"
+#include "stencil/kernels.hpp"
 #include "support/error.hpp"
+#include "support/observability/observability.hpp"
 
 namespace scl::support::obs {
 namespace {
@@ -310,6 +315,42 @@ TEST(SpanTracerTest, EmptyTraceIsStillValidChromeJson) {
   SpanTracer tracer;
   EXPECT_EQ(tracer.render_chrome_json(),
             "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
+}
+
+// ---------------------------------------------------------------------------
+// Pipeline instrumentation
+// ---------------------------------------------------------------------------
+
+TEST(SimMetricsTest, EachRunCountsOnceWithItsOwnCycles) {
+  // A temporal run simulates its spatial twin for the functional field
+  // contents; that inner simulation is not a run of its own.
+  set_enabled(true);
+  Counter& runs = metrics().counter("scl_sim_runs_total");
+  Counter& modeled = metrics().counter("scl_sim_modeled_cycles_total");
+  Histogram& wall =
+      metrics().histogram("scl_sim_wall_ms", default_latency_ms_buckets());
+  const auto program = stencil::make_jacobi2d(32, 24, 4);
+  const sim::Executor exec(fpga::virtex7_690t());
+  for (const auto family :
+       {arch::DesignFamily::kPipeTiling, arch::DesignFamily::kTemporalShift}) {
+    sim::DesignConfig config;
+    config.family = family;
+    config.fused_iterations = 2;
+    config.tile_size = {32, 8, 1};
+    for (const auto mode :
+         {sim::SimMode::kFunctional, sim::SimMode::kTimingOnly}) {
+      const std::int64_t runs_before = runs.value();
+      const std::int64_t modeled_before = modeled.value();
+      const std::int64_t wall_before = wall.count();
+      const sim::SimResult result = exec.run(program, config, mode);
+      SCOPED_TRACE(testing::Message() << arch::to_string(family) << " mode "
+                                      << static_cast<int>(mode));
+      EXPECT_EQ(runs.value() - runs_before, 1);
+      EXPECT_EQ(modeled.value() - modeled_before, result.total_cycles);
+      EXPECT_EQ(wall.count() - wall_before, 1);
+    }
+  }
+  set_enabled(false);
 }
 
 }  // namespace

@@ -2,18 +2,26 @@
 //
 // For dozens of seeds, construct a random-but-valid stencil program
 // (random dimensionality, field count, stage graph, axis-aligned offsets
-// up to radius 3, contraction-bounded coefficients) and a random design
-// point (kind, fusion depth, parallelism, tile sizes, balancing), then
-// require the functionally-simulated accelerator to match the golden
-// reference executor bit-exactly on every field.
+// up to radius 8 on grids wide enough to hold them, contraction-bounded
+// coefficients) and a random design point on a random device: the family
+// (pipe-tiling or temporal-shift), the replication factor R from 1 up to
+// the device's bank count, and the family's own knobs (kind, fusion
+// depth, parallelism, tile or strip sizes, balancing). Then require:
 //
-// This sweeps corners the hand-written tests cannot enumerate: radius-2
-// halos and strips, asymmetric per-side radii, stages reading fields
-// written later in the iteration (cross-iteration versions through the
-// pipes), constant fields, zero-radius stages, remainder regions and
-// passes, and all combinations thereof.
+//   * the functionally-simulated accelerator matches the golden reference
+//     executor bit-exactly on every field;
+//   * the timing-only fast path reports the functional run's clock;
+//   * the replica wave schedule never gets longer as R grows.
+//
+// This sweeps corners the hand-written tests cannot enumerate: wide halos
+// and strips, asymmetric per-side radii, stages reading fields written
+// later in the iteration (cross-iteration versions through the pipes),
+// constant fields, zero-radius stages, remainder regions and passes, idle
+// replicas past the grid edge, and all combinations thereof.
 #include <gtest/gtest.h>
 
+#include "arch/family.hpp"
+#include "fpga/device.hpp"
 #include "sim/executor.hpp"
 #include "stencil/formula.hpp"
 #include "stencil/parser.hpp"
@@ -44,9 +52,15 @@ StencilProgram random_program(scl::Rng& rng) {
   const int stage_count =
       static_cast<int>(rng.uniform_int(1, field_count));
 
+  // Mostly radius <= 2, one program in four up to 8 (wide halos and
+  // strips); every extent leaves an interior beyond both halos.
+  const int max_r = rng.uniform_int(0, 3) == 0
+                        ? static_cast<int>(rng.uniform_int(3, 8))
+                        : 2;
   std::array<std::int64_t, 3> extents{1, 1, 1};
   for (int d = 0; d < dims; ++d) {
-    extents[static_cast<std::size_t>(d)] = rng.uniform_int(10, 20);
+    extents[static_cast<std::size_t>(d)] =
+        rng.uniform_int(2 * max_r + 6, 2 * max_r + 16);
   }
   const std::int64_t iterations = rng.uniform_int(3, 7);
 
@@ -81,8 +95,6 @@ StencilProgram random_program(scl::Rng& rng) {
       const int field = static_cast<int>(rng.uniform_int(0, field_count - 1));
       Offset off{0, 0, 0};
       const int axis = static_cast<int>(rng.uniform_int(0, dims - 1));
-      // Mostly radius <= 2, occasionally 3 (wide halos and strips).
-      const int max_r = rng.uniform_int(0, 7) == 0 ? 3 : 2;
       off[static_cast<std::size_t>(axis)] =
           static_cast<int>(rng.uniform_int(-max_r, max_r));
       const double coeff =
@@ -102,24 +114,55 @@ StencilProgram random_program(scl::Rng& rng) {
                         std::move(stages));
 }
 
-DesignConfig random_config(scl::Rng& rng, const StencilProgram& program) {
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    DesignConfig c;
-    c.kind = rng.uniform_int(0, 1) == 0 ? DesignKind::kBaseline
-                                        : DesignKind::kHeterogeneous;
+DesignConfig random_tiling_config(scl::Rng& rng,
+                                  const StencilProgram& program) {
+  DesignConfig c;
+  c.kind = rng.uniform_int(0, 1) == 0 ? DesignKind::kBaseline
+                                      : DesignKind::kHeterogeneous;
+  c.fused_iterations =
+      rng.uniform_int(1, std::min<std::int64_t>(4, program.iterations()));
+  c.unroll = static_cast<int>(rng.uniform_int(1, 4));
+  for (int d = 0; d < program.dims(); ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    c.parallelism[ds] = static_cast<int>(rng.uniform_int(1, 3));
+    c.tile_size[ds] = rng.uniform_int(3, program.grid_box().extent(d));
+    if (c.kind == DesignKind::kHeterogeneous && c.parallelism[ds] >= 3 &&
+        c.tile_size[ds] > 2 && rng.uniform_int(0, 1) == 1) {
+      c.edge_shrink[ds] = rng.uniform_int(1, 2);
+    }
+  }
+  return c;
+}
+
+/// One deep cascade over full-extent strips along the last dimension; the
+/// temporal degree divides the iteration count.
+DesignConfig random_temporal_config(scl::Rng& rng,
+                                    const StencilProgram& program) {
+  DesignConfig c;
+  c.family = arch::DesignFamily::kTemporalShift;
+  do {
     c.fused_iterations =
         rng.uniform_int(1, std::min<std::int64_t>(4, program.iterations()));
-    c.unroll = static_cast<int>(rng.uniform_int(1, 4));
-    for (int d = 0; d < program.dims(); ++d) {
-      const auto ds = static_cast<std::size_t>(d);
-      c.parallelism[ds] = static_cast<int>(rng.uniform_int(1, 3));
-      c.tile_size[ds] =
-          rng.uniform_int(3, program.grid_box().extent(d));
-      if (c.kind == DesignKind::kHeterogeneous && c.parallelism[ds] >= 3 &&
-          c.tile_size[ds] > 2 && rng.uniform_int(0, 1) == 1) {
-        c.edge_shrink[ds] = rng.uniform_int(1, 2);
-      }
-    }
+  } while (program.iterations() % c.fused_iterations != 0);
+  c.unroll = static_cast<int>(rng.uniform_int(1, 4));
+  const int sd = program.dims() - 1;
+  for (int d = 0; d < sd; ++d) {
+    c.tile_size[static_cast<std::size_t>(d)] = program.grid_box().extent(d);
+  }
+  c.tile_size[static_cast<std::size_t>(sd)] =
+      rng.uniform_int(1, program.grid_box().extent(sd));
+  return c;
+}
+
+DesignConfig random_config(scl::Rng& rng, const StencilProgram& program,
+                           const fpga::DeviceSpec& device) {
+  const bool temporal = rng.uniform_int(0, 1) == 1;
+  const int replication =
+      static_cast<int>(rng.uniform_int(1, device.memory.banks));
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    DesignConfig c = temporal ? random_temporal_config(rng, program)
+                              : random_tiling_config(rng, program);
+    c.replication = replication;
     try {
       c.validate(program);
       return c;
@@ -130,18 +173,33 @@ DesignConfig random_config(scl::Rng& rng, const StencilProgram& program) {
   throw scl::Error("could not draw a valid random config");
 }
 
+/// Wave slots per pass of the replica schedule.
+std::int64_t slots_per_pass(const StencilProgram& program,
+                            const DesignConfig& config) {
+  std::int64_t slots = 0;
+  for (const auto& slot : RegionGrid(program, config).wave_slots(
+           RegionGrid::SlotUnit::kShape)) {
+    slots += slot.count;
+  }
+  return slots;
+}
+
 class RandomProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomProperty, TiledDesignsMatchReferenceBitExact) {
   scl::Rng rng(GetParam());
   const StencilProgram program = random_program(rng);
-  const DesignConfig config = random_config(rng, program);
+  const fpga::DeviceSpec device = fpga::find_device(
+      rng.uniform_int(0, 1) == 0 ? "xc7vx690t" : "xcu280");
+  const DesignConfig config = random_config(rng, program, device);
 
   SCOPED_TRACE(scl::str_cat("program: ", program.name(), " dims ",
                             program.dims(), " stages ", program.stage_count(),
-                            " | ", config.summary(program.dims())));
+                            " | ", arch::to_string(config.family), " ",
+                            config.summary(program.dims()), " R ",
+                            config.replication, " on ", device.name));
 
-  const Executor exec(fpga::virtex7_690t());
+  const Executor exec(device);
   const SimResult result =
       exec.run(program, config, SimMode::kFunctional);
   ASSERT_TRUE(result.fields.has_value());
@@ -162,6 +220,18 @@ TEST_P(RandomProperty, TiledDesignsMatchReferenceBitExact) {
   // The timing fast path must agree with the functional run's clock.
   const SimResult timing = exec.run(program, config, SimMode::kTimingOnly);
   EXPECT_EQ(timing.total_cycles, result.total_cycles);
+  EXPECT_EQ(timing.phases.total(), result.phases.total());
+
+  // More replicas never lengthen the wave schedule, up to the widest HBM
+  // part's bank count.
+  DesignConfig wider = config;
+  wider.replication = 1;
+  std::int64_t previous = slots_per_pass(program, wider);
+  for (++wider.replication; wider.replication <= 32; ++wider.replication) {
+    const std::int64_t slots = slots_per_pass(program, wider);
+    EXPECT_LE(slots, previous) << "R " << wider.replication;
+    previous = slots;
+  }
 }
 
 TEST_P(RandomProperty, RoundTripThroughStencilFormat) {

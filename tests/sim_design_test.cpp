@@ -238,6 +238,55 @@ TEST(RegionGridTest, GridEdgeFlags) {
   EXPECT_TRUE(regions[3].at_grid_edge[1][1]);
 }
 
+TEST(RegionGridTest, WaveSlotsRunEveryRegionOncePerPass) {
+  // 4 x 3 regions; the 4 rows along dimension 0 go to 3 replicas in
+  // blocks of ceil(4/3) = 2: replica 1 idles in the second wave and
+  // replica 2 never runs.
+  const auto p = make_jacobi2d(64, 48, 8);
+  DesignConfig c = hetero2d(2, 1, 16);
+  c.replication = 3;
+  const RegionGrid rg(p, c);
+  EXPECT_EQ(rg.replication_dim(), 0);
+  EXPECT_EQ(rg.waves(), 2);
+  const auto slots = rg.wave_slots(RegionGrid::SlotUnit::kRegion);
+  ASSERT_EQ(slots.size(), 6u);
+  std::vector<int> runs(12, 0);
+  for (const auto& slot : slots) {
+    EXPECT_EQ(slot.count, 1);
+    ASSERT_EQ(slot.runs.size(), 3u);
+    EXPECT_EQ(slot.runs[2], -1);
+    for (const std::int64_t r : slot.runs) {
+      if (r >= 0) ++runs[static_cast<std::size_t>(r)];
+    }
+  }
+  EXPECT_EQ(runs, std::vector<int>(12, 1));
+
+  // The shape view merges identical slots and still runs every shape as
+  // often as it occurs.
+  const auto shapes = rg.distinct_shapes();
+  std::vector<std::int64_t> shape_runs(shapes.size(), 0);
+  std::int64_t shape_slots = 0;
+  for (const auto& slot : rg.wave_slots(RegionGrid::SlotUnit::kShape)) {
+    shape_slots += slot.count;
+    for (const std::int64_t s : slot.runs) {
+      if (s >= 0) shape_runs[static_cast<std::size_t>(s)] += slot.count;
+    }
+  }
+  EXPECT_EQ(shape_slots, 6);
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    EXPECT_EQ(shape_runs[s], shapes[s].count) << "shape " << s;
+  }
+}
+
+TEST(RegionGridTest, ReplicatesAlongTheDimensionWithMostRegions) {
+  const auto p = make_jacobi2d(32, 96, 8);
+  DesignConfig c = hetero2d(2, 1, 16);  // 2 x 6 regions
+  c.replication = 4;
+  const RegionGrid rg(p, c);
+  EXPECT_EQ(rg.replication_dim(), 1);
+  EXPECT_EQ(rg.waves(), 2);
+}
+
 // --- PhaseBreakdown ----------------------------------------------------------
 
 TEST(PhaseBreakdownTest, TotalAndAccumulate) {

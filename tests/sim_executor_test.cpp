@@ -5,6 +5,9 @@
 // would fail.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "arch/family.hpp"
 #include "fpga/device.hpp"
 #include "sim/executor.hpp"
 #include "stencil/kernels.hpp"
@@ -356,6 +359,82 @@ TEST(TimingTest, PaperScaleTimingOnlyIsTractable) {
   EXPECT_EQ(r.region_executions, 32 * 16);
   // Every interior cell updated once per iteration.
   EXPECT_EQ(r.cells_owned, 2046ll * 2046ll * 1024ll);
+}
+
+// --- replica wave schedule ---------------------------------------------------
+
+/// The replica probe: Jacobi-2D 64x48, 8 iterations, h = 2. Pipe-tiling
+/// designs cut 4 x 3 regions of 16^2 (baseline: one 16^2 tile;
+/// heterogeneous: 2x2 tiles of 8^2); the temporal cascade cuts 6 strips
+/// of 8 along dimension 1.
+enum class Probe { kBaseline, kHeterogeneous, kTemporal };
+
+DesignConfig probe_config(Probe probe, int replication) {
+  DesignConfig c =
+      probe == Probe::kHeterogeneous
+          ? make_config(DesignKind::kHeterogeneous, 2, 2, {2, 2, 1}, {8, 8, 1})
+          : make_config(DesignKind::kBaseline, 2, 2, {1, 1, 1}, {16, 16, 1});
+  if (probe == Probe::kTemporal) {
+    c.family = arch::DesignFamily::kTemporalShift;
+    c.tile_size = {64, 8, 1};
+  }
+  c.replication = replication;
+  return c;
+}
+
+StencilProgram probe_program() {
+  return scl::stencil::find_benchmark("Jacobi-2D").make_scaled({64, 48, 1},
+                                                                8);
+}
+
+TEST(ReplicaWaveTest, TemporalCriticalPathFollowsTheHostWaves) {
+  // The replicated host sweeps ceil(6 / R) strip waves per pass.
+  const StencilProgram p = probe_program();
+  const Executor exec(fpga::find_device("xcu280"));
+  const std::pair<int, std::int64_t> expected[] = {
+      {1, 105744}, {2, 52872}, {4, 35248}, {8, 17624}};
+  for (const auto& [r, cycles] : expected) {
+    const DesignConfig c = probe_config(Probe::kTemporal, r);
+    EXPECT_EQ(exec.run(p, c, SimMode::kFunctional).total_cycles, cycles)
+        << "R " << r;
+    EXPECT_EQ(exec.run(p, c, SimMode::kTimingOnly).total_cycles, cycles)
+        << "R " << r;
+  }
+}
+
+TEST(ReplicaWaveTest, FunctionalAndTimingClocksAgreeAtEveryReplication) {
+  const StencilProgram p = probe_program();
+  const Executor exec(fpga::find_device("xcu280"));
+  for (const Probe probe :
+       {Probe::kBaseline, Probe::kHeterogeneous, Probe::kTemporal}) {
+    for (const int r : {1, 2, 4, 8, 16}) {
+      const DesignConfig c = probe_config(probe, r);
+      const SimResult functional = exec.run(p, c, SimMode::kFunctional);
+      const SimResult timing = exec.run(p, c, SimMode::kTimingOnly);
+      SCOPED_TRACE(testing::Message() << "probe " << static_cast<int>(probe)
+                                      << " R " << r);
+      EXPECT_EQ(functional.total_cycles, timing.total_cycles);
+      EXPECT_EQ(functional.phases.total(), timing.phases.total());
+      EXPECT_EQ(functional.cells_owned, timing.cells_owned);
+      EXPECT_EQ(functional.global_memory_bytes, timing.global_memory_bytes);
+    }
+  }
+}
+
+TEST(ReplicaWaveTest, PipeTilingGainsUntilOneWave) {
+  // 4 region rows: R = 1, 2 run 4, 2 waves; from R = 4 on one wave.
+  const StencilProgram p = probe_program();
+  const Executor exec(fpga::find_device("xcu280"));
+  auto cycles = [&](int r) {
+    return exec.run(p, probe_config(Probe::kBaseline, r),
+                    SimMode::kTimingOnly)
+        .total_cycles;
+  };
+  EXPECT_EQ(cycles(1), 192544);
+  EXPECT_LT(cycles(2), cycles(1));
+  EXPECT_LT(cycles(4), cycles(2));
+  EXPECT_EQ(cycles(8), cycles(4));
+  EXPECT_EQ(cycles(16), cycles(4));
 }
 
 }  // namespace
