@@ -58,9 +58,12 @@ namespace {
 
 int usage() {
   std::cerr
-      << "usage: stencil_compiler <input.stencil | benchmark-name> "
+      << "usage: stencil_compiler <input.stencil | input.cl | "
+         "benchmark-name> "
          "[--device <name>] [--family auto|pipe-tiling|temporal-shift] "
-         "[--emit <dir>] [--no-sim] [--analyze] "
+         "[--grid <n0[,n1[,n2]]>] [--iterations <H>] "
+         "[--init <field=spec>]... "
+         "[--emit <dir>] [--report <file.md>] [--no-sim] [--analyze] "
          "[--analyze-json] [--deep-ir] [--dump-stencil] [--list] "
          "[--trace-out <file>] [--metrics-out <file>]\n";
   return 2;

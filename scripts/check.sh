@@ -85,6 +85,33 @@ print(f"observability smoke ok: {len(events)} span(s), "
       f"{len(families)} metric families")
 PY
 
+# The same smoke with the device simulation on: the simulator's spans
+# must appear, and scl_sim_runs_total must count one run per design the
+# report lists as simulated.
+echo "observability smoke (simulated run)"
+./build/examples/stencil_compiler Jacobi-2D \
+  --trace-out "$obs_dir/sim_trace.json" \
+  --metrics-out "$obs_dir/sim_metrics.txt" > "$obs_dir/sim_report.txt"
+python3 - "$obs_dir/sim_trace.json" "$obs_dir/sim_metrics.txt" \
+  "$obs_dir/sim_report.txt" <<'PY'
+import json, sys
+trace_path, metrics_path, report_path = sys.argv[1:4]
+names = [event["name"] for event in json.load(open(trace_path))["traceEvents"]]
+assert "sim/simulate" in names, f"trace lacks span sim/simulate: {set(names)}"
+runs = names.count("sim/run")
+designs = sum(line.strip().startswith("simulated:")
+              for line in open(report_path))
+assert runs > 0 and runs == designs, (
+    f"{runs} sim/run span(s) for {designs} simulated design(s)")
+counted = None
+for line in open(metrics_path):
+    if line.startswith("scl_sim_runs_total "):
+        counted = float(line.split()[-1])
+assert counted == designs, (
+    f"scl_sim_runs_total {counted} for {designs} simulated design(s)")
+print(f"simulated-run smoke ok: {designs} design(s) simulated")
+PY
+
 if [ "$QUICK" -eq 1 ]; then
   echo "check.sh --quick: all green"
   exit 0

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
 #include <memory>
 
 #include "arch/temporal_layout.hpp"
@@ -23,22 +22,14 @@ using scl::stencil::StencilProgram;
 
 Executor::RegionOutcome Executor::run_region(
     const StencilProgram& program, const DesignConfig& config,
-    const RegionPlan& plan, std::int64_t pass_iterations, SimMode mode,
-    const FieldSet* global_in, FieldSet* global_out,
-    std::vector<TraceEvent>* trace) const {
+    const StepTables& tables, const RegionPlan& plan,
+    std::int64_t pass_iterations, SimMode mode, const FieldSet* global_in,
+    FieldSet* global_out, std::vector<TraceEvent>* trace) const {
   // One region is executed by one replica; its memory channel is the
   // replica's share of the (possibly banked) device bandwidth. Exact
   // no-op at R=1 on single-bank parts.
   ocl::GlobalMemory memory(device_.replica_bytes_per_cycle(config.replication),
                            device_.mem_port_bytes_per_cycle);
-  std::vector<double> stage_cel;
-  std::vector<std::int64_t> stage_depth;
-  for (int s = 0; s < program.stage_count(); ++s) {
-    const fpga::HlsEstimate est =
-        fpga::estimate_stage(program.stage(s), config.unroll);
-    stage_cel.push_back(fpga::cycles_per_element(est, config.unroll));
-    stage_depth.push_back(est.depth);
-  }
 
   // The baseline design has no pipes: every tile computes an independent
   // overlapped cone, so all faces behave as region-exterior.
@@ -67,13 +58,20 @@ Executor::RegionOutcome Executor::run_region(
     return *by_coord[static_cast<std::size_t>(coord_key(nc[0], nc[1], nc[2]))];
   };
 
-  // Create pipe pairs for every interior face (heterogeneous design only).
-  // One directed pipe per (tile, face); FIFOs are sized to hold at least
-  // the widest strip so the symmetric send phases cannot deadlock.
-  std::vector<std::unique_ptr<ocl::Pipe>> pipes;
-  std::map<std::pair<int, int>, ocl::Pipe*> out_pipe_of;  // (kernel, face id)
-  auto face_id = [](int d, int side) { return d * 2 + side; };
+  // One directed pipe per (tile, interior face) of the heterogeneous
+  // design, indexed by kernel * 6 + face id, with the boxes of the strips
+  // it carries. FIFOs are sized to hold at least the widest strip so the
+  // symmetric send phases cannot deadlock.
+  struct Link {
+    std::unique_ptr<ocl::Pipe> pipe;
+    StripBoxes strips;
+  };
+  std::vector<Link> links;
+  auto link_of = [&](int kernel, int d, int side) -> Link& {
+    return links[static_cast<std::size_t>(kernel * 6 + d * 2 + side)];
+  };
   if (config.kind == DesignKind::kHeterogeneous) {
+    links.resize(static_cast<std::size_t>(config.total_kernels() * 6));
     for (const TilePlacement& t : tiles) {
       for (int d = 0; d < program.dims(); ++d) {
         const auto ds = static_cast<std::size_t>(d);
@@ -85,10 +83,13 @@ Executor::RegionOutcome Executor::run_region(
               max_face_strip_elements(program, t, nb, face, pass_iterations);
           const std::int64_t depth =
               std::max(device_.pipe_fifo_depth, strip);
-          pipes.push_back(std::make_unique<ocl::Pipe>(
+          Link& link = link_of(t.kernel_index, d, side);
+          link.pipe = std::make_unique<ocl::Pipe>(
               str_cat("pipe_k", t.kernel_index, "_d", d, side == 0 ? "n" : "p"),
-              depth, device_.pipe_cycles_per_element));
-          out_pipe_of[{t.kernel_index, face_id(d, side)}] = pipes.back().get();
+              depth, device_.pipe_cycles_per_element);
+          // The receiver sees this face mirrored.
+          link.strips = pipe_strip_boxes(program, nb, t, Face{d, -face.dir},
+                                         pass_iterations);
         }
       }
     }
@@ -99,12 +100,11 @@ Executor::RegionOutcome Executor::run_region(
   for (const TilePlacement& t : tiles) {
     TileTaskParams params;
     params.program = &program;
+    params.tables = &tables;
     params.mode = mode;
     params.kind = config.kind;
     params.tile = t;
     params.fused_iterations = pass_iterations;
-    params.stage_cycles_per_element = stage_cel;
-    params.stage_depth = stage_depth;
     params.launch_offset =
         (t.kernel_index + 1) * device_.kernel_launch_cycles;
     params.memory = &memory;
@@ -117,15 +117,17 @@ Executor::RegionOutcome Executor::run_region(
       for (int d = 0; d < program.dims(); ++d) {
         const auto ds = static_cast<std::size_t>(d);
         for (int side = 0; side < 2; ++side) {
-          if (t.exterior[ds][static_cast<std::size_t>(side)]) continue;
-          const TilePlacement& nb = neighbor(t, ds, side);
-          params.neighbors[ds][static_cast<std::size_t>(side)] = nb;
-          params.out_pipes[ds][static_cast<std::size_t>(side)] =
-              out_pipe_of.at({t.kernel_index, face_id(d, side)});
+          const auto ss = static_cast<std::size_t>(side);
+          if (t.exterior[ds][ss]) continue;
+          const Link& out = link_of(t.kernel_index, d, side);
           // My incoming pipe across this face is the neighbor's outgoing
           // pipe across the mirrored face.
-          params.in_pipes[ds][static_cast<std::size_t>(side)] =
-              out_pipe_of.at({nb.kernel_index, face_id(d, side == 0 ? 1 : 0)});
+          const Link& in = link_of(neighbor(t, ds, side).kernel_index, d,
+                                   side == 0 ? 1 : 0);
+          params.out_pipes[ds][ss] = out.pipe.get();
+          params.out_strips[ds][ss] = &out.strips;
+          params.in_pipes[ds][ss] = in.pipe.get();
+          params.in_strips[ds][ss] = &in.strips;
         }
       }
     }
@@ -145,8 +147,10 @@ Executor::RegionOutcome Executor::run_region(
     outcome.cells_owned += task->cells_owned();
     outcome.cells_redundant += task->cells_redundant();
   }
-  for (const auto& pipe : pipes) {
-    outcome.pipe_elements += pipe->total_written();
+  for (const Link& link : links) {
+    if (link.pipe != nullptr) {
+      outcome.pipe_elements += link.pipe->total_written();
+    }
   }
   outcome.bytes = memory.total_bytes();
   return outcome;
@@ -255,10 +259,11 @@ RegionTrace Executor::trace_region(const StencilProgram& program,
   const auto pick = std::max_element(
       shapes.begin(), shapes.end(),
       [](const auto& a, const auto& b) { return a.count < b.count; });
+  const StepTables tables(program, config.unroll);
   RegionTrace trace;
-  const RegionOutcome outcome =
-      run_region(program, config, pick->plan, config.fused_iterations,
-                 SimMode::kTimingOnly, nullptr, nullptr, &trace.events);
+  const RegionOutcome outcome = run_region(
+      program, config, tables, pick->plan, config.fused_iterations,
+      SimMode::kTimingOnly, nullptr, nullptr, &trace.events);
   trace.region_cycles = outcome.cycles;
   return trace;
 }
@@ -267,6 +272,7 @@ SimResult Executor::run_pipe_tiling(const StencilProgram& program,
                                     const DesignConfig& config,
                                     SimMode mode) const {
   const RegionGrid grid(program, config);
+  const StepTables tables(program, config.unroll);
   SimResult result;
   result.region_executions = grid.total_region_executions();
 
@@ -296,7 +302,7 @@ SimResult Executor::run_pipe_tiling(const StencilProgram& program,
         full ? config.fused_iterations : grid.last_pass_iterations();
     const std::int64_t repeat = full && !functional ? full_passes : 1;
     for (std::size_t i = 0; i < plans.size(); ++i) {
-      outcomes[i] = run_region(program, config, plans[i], h, mode,
+      outcomes[i] = run_region(program, config, tables, plans[i], h, mode,
                                functional ? &current : nullptr,
                                functional ? &next : nullptr);
     }

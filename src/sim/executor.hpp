@@ -93,7 +93,8 @@ class Executor {
   };
 
   RegionOutcome run_region(const scl::stencil::StencilProgram& program,
-                           const DesignConfig& config, const RegionPlan& plan,
+                           const DesignConfig& config,
+                           const StepTables& tables, const RegionPlan& plan,
                            std::int64_t pass_iterations, SimMode mode,
                            const scl::stencil::FieldSet* global_in,
                            scl::stencil::FieldSet* global_out,

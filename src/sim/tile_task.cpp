@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fpga/hls.hpp"
 #include "stencil/reference.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -35,16 +36,26 @@ Box extended_tile_box(const StencilProgram& program,
   return box.intersect(program.grid_box());
 }
 
-Box halo_strip_box(const StencilProgram& program,
-                   const TilePlacement& receiver, const TilePlacement& sender,
-                   const Face& face, int f, std::int64_t h, std::int64_t i) {
+namespace {
+
+/// Field `f`'s halo strip across `face` of the receiver's extended box
+/// `mine`, clipped to the sender's extended box `theirs`.
+Box strip_between(const StencilProgram& program, const Box& mine,
+                  const Box& theirs, const Face& face, int f) {
   const auto ds = static_cast<std::size_t>(face.dim);
   const auto side = static_cast<std::size_t>(face.dir < 0 ? 0 : 1);
   const std::int64_t width = program.field_read_radii(f)[ds][side];
   if (width == 0) return Box{};
-  const Box mine = extended_tile_box(program, receiver, h, i);
-  const Box theirs = extended_tile_box(program, sender, h, i);
   return mine.halo_strip(face, width).intersect(theirs);
+}
+
+}  // namespace
+
+Box halo_strip_box(const StencilProgram& program,
+                   const TilePlacement& receiver, const TilePlacement& sender,
+                   const Face& face, int f, std::int64_t h, std::int64_t i) {
+  return strip_between(program, extended_tile_box(program, receiver, h, i),
+                       extended_tile_box(program, sender, h, i), face, f);
 }
 
 std::int64_t max_face_strip_elements(const StencilProgram& program,
@@ -66,8 +77,67 @@ std::int64_t max_face_strip_elements(const StencilProgram& program,
   return 2 * per_iteration;
 }
 
+StripBoxes pipe_strip_boxes(const StencilProgram& program,
+                            const TilePlacement& receiver,
+                            const TilePlacement& sender, const Face& face,
+                            std::int64_t h) {
+  StripBoxes strips;
+  strips.reserve(static_cast<std::size_t>(h * program.field_count()));
+  for (std::int64_t i = 1; i <= h; ++i) {
+    const Box mine = extended_tile_box(program, receiver, h, i);
+    const Box theirs = extended_tile_box(program, sender, h, i);
+    for (int f = 0; f < program.field_count(); ++f) {
+      strips.push_back(strip_between(program, mine, theirs, face, f));
+    }
+  }
+  return strips;
+}
+
+StepTables::StepTables(const StencilProgram& program, int unroll) {
+  const auto stages = static_cast<std::size_t>(program.stage_count());
+  reads.resize(stages);
+  needed.resize(stages);
+  consumed_after.resize(stages);
+  for (int s = 0; s < program.stage_count(); ++s) {
+    const auto ss = static_cast<std::size_t>(s);
+    const Stage& st = program.stage(s);
+    const fpga::HlsEstimate est = fpga::estimate_stage(st, unroll);
+    cycles_per_element.push_back(fpga::cycles_per_element(est, unroll));
+    depth.push_back(est.depth);
+
+    for (const auto& read : st.reads) {
+      if (program.is_constant_field(read.field)) continue;
+      auto it = std::find_if(reads[ss].begin(), reads[ss].end(),
+                             [&](const FieldRead& r) {
+                               return r.field == read.field;
+                             });
+      if (it == reads[ss].end()) {
+        it = reads[ss].insert(reads[ss].end(), FieldRead{read.field, {}});
+      }
+      const int writer = program.writing_stage(read.field);
+      for (int d = 0; d < program.dims(); ++d) {
+        const auto ds = static_cast<std::size_t>(d);
+        const int off = read.offset[ds];
+        if (off == 0) continue;
+        const std::size_t side = off < 0 ? 0 : 1;
+        const std::int64_t dist = off < 0 ? -off : off;
+        it->shift[ds][side] = std::max(it->shift[ds][side], dist);
+        NeededWriters& w = needed[ss][ds][side];
+        int& slot = writer < s ? w.current : w.previous;
+        slot = std::max(slot, writer);
+        // A read across this side by stage s consumes the strips of the
+        // field's writer when it runs earlier in the iteration.
+        if (writer < s) {
+          consumed_after[static_cast<std::size_t>(writer)][ds][side] = true;
+        }
+      }
+    }
+  }
+}
+
 TileTask::TileTask(TileTaskParams params) : params_(std::move(params)) {
   SCL_CHECK(params_.program != nullptr, "tile task needs a program");
+  SCL_CHECK(params_.tables != nullptr, "tile task needs step tables");
   SCL_CHECK(params_.memory != nullptr, "tile task needs a memory channel");
   SCL_CHECK(params_.fused_iterations >= 1, "pass needs >= 1 iterations");
   const TilePlacement& tile = params_.tile;
@@ -100,77 +170,66 @@ TileTask::TileTask(TileTaskParams params) : params_(std::move(params)) {
   buffer_box_ = buffer_box_.intersect(prog.grid_box());
   valid_.assign(static_cast<std::size_t>(prog.field_count()), Box{});
 
+  // Pipes provide the halo on shared faces: every stage computes exactly
+  // up to the tile edge there.
+  stage_boxes_.reserve(static_cast<std::size_t>(prog.stage_count()));
+  for (int s = 0; s < prog.stage_count(); ++s) {
+    Box c = prog.updated_box(prog.stage(s).output_field);
+    for (int d = 0; d < prog.dims(); ++d) {
+      const auto ds = static_cast<std::size_t>(d);
+      if (face_is_shared(d, 0)) c.lo[ds] = std::max(c.lo[ds], tile.box.lo[ds]);
+      if (face_is_shared(d, 1)) c.hi[ds] = std::min(c.hi[ds], tile.box.hi[ds]);
+    }
+    stage_boxes_.push_back(c);
+  }
+
   if (params_.mode == SimMode::kFunctional) {
     SCL_CHECK(params_.global_in != nullptr && params_.global_out != nullptr,
               "functional mode needs global field sets");
   }
 }
 
-Box TileTask::extended_box(const TilePlacement& placement,
-                           std::int64_t i) const {
-  // The baseline design treats every face as exterior (the executor sets
-  // the placement flags accordingly), so this covers both designs.
-  return extended_tile_box(program(), placement, params_.fused_iterations, i);
-}
-
 Box TileTask::compute_box(int stage, std::int64_t i) const {
   const StencilProgram& prog = program();
-  const Stage& st = prog.stage(stage);
-  Box c = prog.updated_box(st.output_field);
   const TilePlacement& tile = params_.tile;
-
-  for (int d = 0; d < prog.dims(); ++d) {
-    const auto ds = static_cast<std::size_t>(d);
-    for (int side = 0; side < 2; ++side) {
-      if (face_is_shared(d, side)) {
-        // Pipes provide the halo: compute exactly up to the tile edge.
-        if (side == 0) {
-          c.lo[ds] = std::max(c.lo[ds], tile.box.lo[ds]);
-        } else {
-          c.hi[ds] = std::min(c.hi[ds], tile.box.hi[ds]);
-        }
-        continue;
-      }
-      // Region-exterior face: extend as far as every read field's validity
-      // allows. Once validity reaches the Dirichlet region (whose cells
-      // never change) the margin is pinned and stops shrinking.
-      for (const auto& read : st.reads) {
-        if (prog.is_constant_field(read.field)) continue;
-        const Box& v = valid_[static_cast<std::size_t>(read.field)];
-        const Box ub = prog.updated_box(read.field);
-        if (side == 0) {
-          const std::int64_t shift =
-              std::max<std::int64_t>(0, -read.offset[ds]);
-          if (v.lo[ds] > ub.lo[ds]) {
-            c.lo[ds] = std::max(c.lo[ds], v.lo[ds] + shift);
-          }
-        } else {
-          const std::int64_t shift =
-              std::max<std::int64_t>(0, read.offset[ds]);
-          if (v.hi[ds] < ub.hi[ds]) {
-            c.hi[ds] = std::min(c.hi[ds], v.hi[ds] - shift);
-          }
-        }
-      }
-    }
-  }
-  // Bound the cone by what the final output can still depend on (this is
-  // the loop bound a generated kernel would use; without it, multi-stage
-  // programs with lazily-shrinking fields would compute far-out scratch
-  // cells that cannot influence the owned result).
-  Box bound = params_.tile.box;
+  const std::vector<StepTables::FieldRead>& reads =
+      tables().reads[static_cast<std::size_t>(stage)];
+  // What the final output can still depend on: the tile grown by the cone
+  // of the remaining iterations (the loop bound a generated kernel would
+  // use; without it, multi-stage programs with lazily-shrinking fields
+  // would compute far-out scratch cells that cannot influence the owned
+  // result). The grid clip is implied: the updated box lies inside it.
   const std::int64_t remaining = params_.fused_iterations - (i - 1);
+  Box c = stage_boxes_[static_cast<std::size_t>(stage)];
   for (int d = 0; d < prog.dims(); ++d) {
     const auto ds = static_cast<std::size_t>(d);
     for (int side = 0; side < 2; ++side) {
       if (face_is_shared(d, side)) continue;
-      const Face face{d, side == 0 ? -1 : +1};
-      bound = bound.grown(
-          face, prog.iter_radii()[ds][static_cast<std::size_t>(side)] *
-                    remaining);
+      const auto ss = static_cast<std::size_t>(side);
+      const std::int64_t cone = prog.iter_radii()[ds][ss] * remaining;
+      // Region-exterior face: extend as far as every read field's validity
+      // allows. Once validity reaches the Dirichlet region (whose cells
+      // never change) the margin is pinned and stops shrinking.
+      if (side == 0) {
+        c.lo[ds] = std::max(c.lo[ds], tile.box.lo[ds] - cone);
+        for (const StepTables::FieldRead& read : reads) {
+          const Box& v = valid_[static_cast<std::size_t>(read.field)];
+          if (v.lo[ds] > prog.updated_box(read.field).lo[ds]) {
+            c.lo[ds] = std::max(c.lo[ds], v.lo[ds] + read.shift[ds][0]);
+          }
+        }
+      } else {
+        c.hi[ds] = std::min(c.hi[ds], tile.box.hi[ds] + cone);
+        for (const StepTables::FieldRead& read : reads) {
+          const Box& v = valid_[static_cast<std::size_t>(read.field)];
+          if (v.hi[ds] < prog.updated_box(read.field).hi[ds]) {
+            c.hi[ds] = std::min(c.hi[ds], v.hi[ds] - read.shift[ds][1]);
+          }
+        }
+      }
     }
   }
-  return c.intersect(bound.intersect(prog.grid_box()));
+  return c;
 }
 
 void TileTask::split_compute_box(int stage, const Box& c, Box* independent,
@@ -205,9 +264,10 @@ void TileTask::split_compute_box(int stage, const Box& c, Box* independent,
   *independent = rem;
 }
 
-void TileTask::record(const std::string& phase, std::int64_t begin) {
+void TileTask::record(std::string_view phase, std::int64_t begin) {
   if (params_.trace != nullptr && clock_ > begin) {
-    params_.trace->push_back(TraceEvent{name_, phase, begin, clock_});
+    params_.trace->push_back(
+        TraceEvent{name_, std::string(phase), begin, clock_});
   }
 }
 
@@ -219,8 +279,8 @@ std::int64_t TileTask::charge_compute(const Box& box, bool with_depth) {
   const std::int64_t cycles =
       static_cast<std::int64_t>(
           std::ceil(static_cast<double>(cells) *
-                    params_.stage_cycles_per_element.at(ss))) +
-      (with_depth ? params_.stage_depth.at(ss) : 0);
+                    tables().cycles_per_element[ss])) +
+      (with_depth ? tables().depth[ss] : 0);
   clock_ += cycles;
   const std::int64_t own_cycles = static_cast<std::int64_t>(
       std::llround(static_cast<double>(cycles) * static_cast<double>(own) /
@@ -229,7 +289,9 @@ std::int64_t TileTask::charge_compute(const Box& box, bool with_depth) {
   phases_.compute_redundant += cycles - own_cycles;
   cells_owned_ += own;
   cells_redundant_ += cells - own;
-  record(str_cat("compute s", stage_, " it", iter_), clock_ - cycles);
+  if (params_.trace != nullptr) {
+    record(str_cat("compute s", stage_, " it", iter_), clock_ - cycles);
+  }
   return cycles;
 }
 
@@ -317,18 +379,17 @@ void TileTask::do_stage_independent() {
     const auto ds = static_cast<std::size_t>(d);
     for (int side = 0; side < 2; ++side) {
       if (!face_is_shared(d, side)) continue;
-      if (!strip_is_consumed(f, d, side, stage_, iter_)) continue;
-      const Face face{d, side == 0 ? -1 : +1};
-      const Box box =
-          halo_strip_box(prog, params_.tile, params_.neighbors[ds][side],
-                         face, f, params_.fused_iterations, iter_);
+      if (!strip_is_consumed(d, side)) continue;
+      const Box& box = strip_box(*params_.in_strips[ds][side]);
       if (box.empty()) continue;
       Strip strip;
       strip.key = {iter_, stage_};
       strip.field = f;
-      strip.face = face;
+      strip.face = Face{d, side == 0 ? -1 : +1};
       strip.box = box;
-      strip.data.reserve(static_cast<std::size_t>(box.volume()));
+      if (params_.mode == SimMode::kFunctional) {
+        strip.data.reserve(static_cast<std::size_t>(box.volume()));
+      }
       incoming_[ds][static_cast<std::size_t>(side)].push_back(
           std::move(strip));
     }
@@ -368,37 +429,30 @@ void TileTask::drain_face(int d, int side) {
   }
 }
 
-bool TileTask::strip_is_consumed(int field, int d, int halo_side, int stage,
-                                 std::int64_t iter) const {
-  if (iter < params_.fused_iterations) return true;  // next iteration reads it
-  const StencilProgram& prog = program();
-  for (int s = stage + 1; s < prog.stage_count(); ++s) {
-    for (const auto& read : prog.stage(s).reads) {
-      if (read.field != field) continue;
-      const int off = read.offset[static_cast<std::size_t>(d)];
-      if ((halo_side == 0 && off < 0) || (halo_side == 1 && off > 0)) {
-        return true;
-      }
-    }
-  }
-  return false;
+bool TileTask::strip_is_consumed(int d, int halo_side) const {
+  // Before the final iteration the next iteration reads every strip.
+  return iter_ < params_.fused_iterations ||
+         tables().consumed_after[static_cast<std::size_t>(stage_)]
+                                [static_cast<std::size_t>(d)]
+                                [static_cast<std::size_t>(halo_side)];
+}
+
+const Box& TileTask::strip_box(const StripBoxes& strips) const {
+  const int f = program().stage(stage_).output_field;
+  return strips[static_cast<std::size_t>((iter_ - 1) * program().field_count() +
+                                         f)];
 }
 
 std::optional<TileTask::StripKey> TileTask::needed_key(int d, int side) const {
-  const StencilProgram& prog = program();
-  const Stage& st = prog.stage(stage_);
-  std::optional<StripKey> needed;
-  for (const auto& read : st.reads) {
-    if (prog.is_constant_field(read.field)) continue;
-    const int off = read.offset[static_cast<std::size_t>(d)];
-    if ((side == 0 && off >= 0) || (side == 1 && off <= 0)) continue;
-    const int writer = prog.writing_stage(read.field);
-    StripKey key = writer < stage_ ? StripKey{iter_, writer}
-                                   : StripKey{iter_ - 1, writer};
-    if (key.iter < 1) continue;  // pre-pass halo came with the global read
-    if (!needed.has_value() || *needed < key) needed = key;
-  }
-  return needed;
+  const StepTables::NeededWriters& w =
+      tables().needed[static_cast<std::size_t>(stage_)]
+                     [static_cast<std::size_t>(d)]
+                     [static_cast<std::size_t>(side)];
+  // A strip of this iteration always outranks one of the previous
+  // iteration; the pre-pass halo (iteration 0) came with the global read.
+  if (w.current >= 0) return StripKey{iter_, w.current};
+  if (w.previous >= 0 && iter_ > 1) return StripKey{iter_ - 1, w.previous};
+  return std::nullopt;
 }
 
 bool TileTask::do_apply_halo() {
@@ -431,7 +485,7 @@ bool TileTask::do_apply_halo() {
           (*fields_)[static_cast<std::size_t>(strip.field)].write_box(
               strip.box, strip.data);
         }
-        queue.pop_front();
+        queue.erase(queue.begin());
         progressed = true;
       }
     }
@@ -457,16 +511,13 @@ void TileTask::do_stage_dependent() {
     for (int side = 0; side < 2; ++side) {
       if (!face_is_shared(d, side)) continue;
       // The receiver's halo lies on the opposite side of the dimension.
-      if (!strip_is_consumed(f, d, side == 0 ? 1 : 0, stage_, iter_)) continue;
-      const Face face{d, side == 0 ? -1 : +1};
-      const Box box = halo_strip_box(
-          prog, params_.neighbors[ds][side], params_.tile, Face{d, -face.dir},
-          f, params_.fused_iterations, iter_);
+      if (!strip_is_consumed(d, side == 0 ? 1 : 0)) continue;
+      const Box& box = strip_box(*params_.out_strips[ds][side]);
       if (box.empty()) continue;
       Strip strip;
       strip.key = {iter_, stage_};
       strip.field = f;
-      strip.face = face;
+      strip.face = Face{d, side == 0 ? -1 : +1};
       strip.box = box;
       if (params_.mode == SimMode::kFunctional) {
         strip.data = (*fields_)[static_cast<std::size_t>(f)].read_box(box);

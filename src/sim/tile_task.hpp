@@ -10,8 +10,14 @@
 //    the pass's global output field set. Used at small scale to prove the
 //    tiling designs bit-exact against the ReferenceExecutor.
 //  * TimingOnly — the identical state machine and geometry, but no data is
-//    touched: compute charges cycles from cell counts, strips carry
-//    zero payloads of the right size. Used at paper-scale inputs.
+//    touched: compute charges cycles from cell counts and strips carry no
+//    payload, only element counts. Used at paper-scale inputs.
+//
+// The step path reads its invariants from tables built once: StepTables
+// (per-stage timing, compute-box reads, strip protocol keys) once per
+// Executor::run, the pipe strip boxes once per region and pipe, and the
+// tile's clipped stage boxes once per task. Trace labels are formatted
+// only when a trace sink is attached.
 //
 // Latency hiding (paper §3.1). Within each stage the cells are split into
 // the *independent* group (no halo data needed) and the *dependent* group
@@ -35,9 +41,9 @@
 // design from a single implementation.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "ocl/memory.hpp"
@@ -78,31 +84,78 @@ std::int64_t max_face_strip_elements(
     const scl::stencil::StencilProgram& program, const TilePlacement& a,
     const TilePlacement& b, const Face& face, std::int64_t h);
 
+/// The strip boxes that cross one directed pipe during a pass of `h` fused
+/// iterations, indexed [(i - 1) * field_count + f]: halo_strip_box of every
+/// (iteration i, field f) for `receiver`'s `face`. Built once per pipe and
+/// read by both of its ends.
+using StripBoxes = std::vector<Box>;
+StripBoxes pipe_strip_boxes(const scl::stencil::StencilProgram& program,
+                            const TilePlacement& receiver,
+                            const TilePlacement& sender, const Face& face,
+                            std::int64_t h);
+
 /// Per-face pipe endpoints (index [dim][side]); null when the face is
 /// region-exterior or has no neighbor.
 using FacePipes = std::array<std::array<ocl::Pipe*, 2>, 3>;
+/// Per-face strip boxes of those pipes (index [dim][side]).
+using FaceStrips = std::array<std::array<const StripBoxes*, 2>, 3>;
+
+/// What every step of every tile of one simulation reads: the per-stage
+/// timing of the design's unroll factor and the program's compute-box and
+/// strip-protocol tables. Depends only on (program, unroll), so
+/// Executor::run builds it once.
+struct StepTables {
+  StepTables(const scl::stencil::StencilProgram& program, int unroll);
+
+  std::vector<double> cycles_per_element;  ///< II_s / N_PE per stage
+  std::vector<std::int64_t> depth;  ///< pipeline fill/drain per stage
+
+  /// One mutable field a stage reads, with its widest read offset toward
+  /// each side: how far the stage's compute box must stay inside the
+  /// field's validity box.
+  struct FieldRead {
+    int field = 0;
+    scl::stencil::SideRadii shift{};
+  };
+  std::vector<std::vector<FieldRead>> reads;  ///< per stage
+
+  /// Writer stages whose strips a stage waits on across face [dim][side]:
+  /// the latest writer earlier in the same iteration, else the latest
+  /// writer at or after the stage (whose strip is from the previous
+  /// iteration); -1 for none.
+  struct NeededWriters {
+    int current = -1;
+    int previous = -1;
+  };
+  using FaceWriters = std::array<std::array<NeededWriters, 2>, 3>;
+  std::vector<FaceWriters> needed;  ///< per stage
+
+  /// consumed_after[s][d][halo_side]: a later stage of the same iteration
+  /// reads stage s's output across that halo side (0 = low, 1 = high), so
+  /// the strip s emits in a pass's final iteration is still consumed.
+  using FaceFlags = std::array<std::array<bool, 2>, 3>;
+  std::vector<FaceFlags> consumed_after;  ///< per stage
+};
 
 struct TileTaskParams {
   const scl::stencil::StencilProgram* program = nullptr;
+  /// Shared per-run tables; must outlive the task.
+  const StepTables* tables = nullptr;
   SimMode mode = SimMode::kTimingOnly;
   DesignKind kind = DesignKind::kBaseline;
 
   TilePlacement tile;
-  /// Placement of the face-adjacent sibling tile, indexed [dim][side];
-  /// only meaningful where tile.exterior is false.
-  std::array<std::array<TilePlacement, 2>, 3> neighbors{};
 
   std::int64_t fused_iterations = 1;  ///< h for this pass
 
-  // Timing parameters (one entry per program stage).
-  std::vector<double> stage_cycles_per_element;  ///< II_s / N_PE per stage
-  std::vector<std::int64_t> stage_depth;  ///< pipeline fill/drain per stage
   std::int64_t launch_offset = 0;    ///< start clock (sequential launches)
   ocl::GlobalMemory* memory = nullptr;
   int memory_sharers = 1;            ///< kernels sharing DDR bandwidth (K)
 
   FacePipes out_pipes{};  ///< strips this tile sends
   FacePipes in_pipes{};   ///< strips this tile receives
+  FaceStrips out_strips{};  ///< boxes of out_pipes' strips
+  FaceStrips in_strips{};   ///< boxes of in_pipes' strips
 
   /// §3.1 latency hiding; off = pipe writes fully exposed (ablation).
   bool latency_hiding = true;
@@ -156,7 +209,7 @@ class TileTask final : public ocl::KernelTask {
     int field = 0;
     Face face{0, -1};
     Box box;
-    std::vector<float> data;
+    std::vector<float> data;  ///< payload; functional mode only
     std::size_t progress = 0;      ///< elements drained/sent so far
     std::int64_t ready_clock = 0;  ///< availability time of drained data
 
@@ -167,7 +220,6 @@ class TileTask final : public ocl::KernelTask {
   };
 
   // --- geometry helpers ---
-  Box extended_box(const TilePlacement& placement, std::int64_t i) const;
   /// Compute box of `stage` at fused iteration `i` from current validity.
   Box compute_box(int stage, std::int64_t i) const;
   /// Splits `c` into the independent core and the dependent strips along
@@ -190,7 +242,7 @@ class TileTask final : public ocl::KernelTask {
   /// Charges the stage's cycles for `box` and returns them.
   std::int64_t charge_compute(const Box& box, bool with_depth);
   /// Appends [begin, clock_) to the trace sink (no-op without one).
-  void record(const std::string& phase, std::int64_t begin);
+  void record(std::string_view phase, std::int64_t begin);
   /// Moves available FIFO data into pending strip buffers without applying
   /// it (safe at any time; called opportunistically on send backpressure).
   void drain_face(int d, int side);
@@ -198,17 +250,19 @@ class TileTask final : public ocl::KernelTask {
   /// or nullopt when the stage reads nothing across it.
   std::optional<StripKey> needed_key(int d, int side) const;
 
-  /// True if some stage after `stage` reads `field` into a halo on
-  /// `halo_side` (0 = low, 1 = high) of dimension `d` — i.e. whether the
-  /// strip emitted after `stage` in the final fused iteration would ever
-  /// be consumed. Sender and receiver apply the same predicate so the
-  /// pipes never accumulate strips nobody reads.
-  bool strip_is_consumed(int field, int d, int halo_side, int stage,
-                         std::int64_t iter) const;
+  /// True if the strip of the current stage's output crossing halo side
+  /// `halo_side` (0 = low, 1 = high) of dimension `d` is ever consumed:
+  /// always before the final fused iteration, and in it only when a later
+  /// stage reads the field across that side. Sender and receiver apply the
+  /// same predicate so the pipes never accumulate strips nobody reads.
+  bool strip_is_consumed(int d, int halo_side) const;
+  /// This iteration's box of the current stage's strip in `strips`.
+  const Box& strip_box(const StripBoxes& strips) const;
 
   const scl::stencil::StencilProgram& program() const {
     return *params_.program;
   }
+  const StepTables& tables() const { return *params_.tables; }
   bool face_is_shared(int d, int side) const {
     return params_.kind == DesignKind::kHeterogeneous &&
            !params_.tile.exterior[static_cast<std::size_t>(d)]
@@ -223,6 +277,9 @@ class TileTask final : public ocl::KernelTask {
 
   Box buffer_box_;
   std::vector<Box> valid_;  ///< per-field latest-version validity box
+  /// Per stage: the output field's updated box clipped to the tile edge
+  /// on pipe-shared faces, where compute_box() starts.
+  std::vector<Box> stage_boxes_;
 
   // Functional-mode storage.
   std::optional<scl::stencil::FieldSet> fields_;
@@ -246,8 +303,9 @@ class TileTask final : public ocl::KernelTask {
 
   // Incoming strips, per face, in protocol order. Front entries fill as
   // FIFOs drain; entries are applied (written to the halo) only when a
-  // dependent compute requires their key.
-  std::array<std::array<std::deque<Strip>, 2>, 3> incoming_;
+  // dependent compute requires their key. A face holds a few strips at a
+  // time, so a vector popped at the front never reallocates once warm.
+  std::array<std::array<std::vector<Strip>, 2>, 3> incoming_;
 
   std::int64_t cells_owned_ = 0;
   std::int64_t cells_redundant_ = 0;

@@ -169,12 +169,14 @@ class StencilProgram {
   /// Region of the grid whose cells are ever written by field `f`'s stage
   /// (the grid box shrunk by that stage's read radii). Cells outside it are
   /// Dirichlet boundary: they keep their initial value forever. For constant
-  /// fields this is empty.
-  Box updated_box(int f) const;
+  /// fields this is empty. Computed once at construction.
+  const Box& updated_box(int f) const {
+    return updated_boxes_.at(static_cast<std::size_t>(f));
+  }
 
   /// Total floating-point op counts of one full iteration applied to one
-  /// cell (summed over stages).
-  OpCounts ops_per_cell() const;
+  /// cell (summed over stages). Computed once at construction.
+  const OpCounts& ops_per_cell() const { return ops_per_cell_; }
 
   /// Bytes of one cell of one field (the paper's Δs; all fields are float).
   static constexpr std::int64_t element_bytes() { return 4; }
@@ -198,6 +200,8 @@ class StencilProgram {
   std::vector<SideRadii> field_read_radii_;
   SideRadii iter_radii_;
   SideRadii max_stage_radii_;
+  std::vector<Box> updated_boxes_;
+  OpCounts ops_per_cell_;
 };
 
 }  // namespace scl::stencil

@@ -10,9 +10,7 @@
 #include <array>
 #include <cctype>
 #include <cstdint>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +24,7 @@
 #include "core/optimizer.hpp"
 #include "core/verify.hpp"
 #include "fpga/device.hpp"
+#include "golden_file.hpp"
 #include "sim/design.hpp"
 #include "stencil/kernels.hpp"
 #include "support/diagnostics.hpp"
@@ -754,29 +753,8 @@ std::string render_ir_corpus() {
 }
 
 TEST(IrGoldenCorpusTest, DiagnosticsMatchTheGoldenFile) {
-  std::ifstream in(SCL_IR_GOLDEN_PATH);
-  ASSERT_TRUE(in.good()) << "missing golden file " << SCL_IR_GOLDEN_PATH;
-  std::stringstream golden;
-  golden << in.rdbuf();
-  const std::string expected = golden.str();
-  const std::string actual = render_ir_corpus();
-  if (actual == expected) return;
-  // Report the first corpus entry that differs, not a 100 kB blob.
-  const auto entries = [](const std::string& text) {
-    std::vector<std::string> out;
-    for (const std::string& chunk : split(text, '\n')) {
-      if (starts_with(chunk, "== ") || out.empty()) out.emplace_back();
-      out.back() += chunk + "\n";
-    }
-    return out;
-  };
-  const std::vector<std::string> want = entries(expected);
-  const std::vector<std::string> got = entries(actual);
-  for (std::size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
-    ASSERT_EQ(got[i], want[i]) << "corpus entry " << i << " differs";
-  }
-  FAIL() << "corpus has " << got.size() << " entries, golden has "
-         << want.size();
+  scl::testing_support::expect_matches_golden(SCL_IR_GOLDEN_PATH,
+                                              render_ir_corpus());
 }
 
 // --- deep per-candidate mode ------------------------------------------------

@@ -89,6 +89,26 @@ stage s writes u: 0.2f * ($u(0,0) + $u(-2,0) + $u(2,0) + $u(0,-2) + $u(0,2))
   EXPECT_EQ(strip.hi[0] - strip.lo[0], 2);  // radius-2 halo
 }
 
+TEST(HaloStripTest, PipeStripTableMatchesHaloStripBoxes) {
+  // The per-pipe table both ends read holds exactly halo_strip_box for
+  // every (iteration, field) of the pass.
+  const auto p = scl::stencil::make_fdtd2d(64, 64, 16);
+  const TilePlacement a = place({0, 0, 0}, {16, 32, 1},
+                                {{{true, false}, {true, true}, {false, false}}});
+  const TilePlacement b = place({16, 0, 0}, {32, 32, 1},
+                                {{{false, true}, {true, true}, {false, false}}});
+  const std::int64_t h = 6;
+  const StripBoxes strips = pipe_strip_boxes(p, a, b, Face{0, +1}, h);
+  ASSERT_EQ(strips.size(), static_cast<std::size_t>(h * p.field_count()));
+  for (std::int64_t i = 1; i <= h; ++i) {
+    for (int f = 0; f < p.field_count(); ++f) {
+      EXPECT_EQ(strips[static_cast<std::size_t>((i - 1) * p.field_count() + f)],
+                halo_strip_box(p, a, b, Face{0, +1}, f, h, i))
+          << "iteration " << i << " field " << f;
+    }
+  }
+}
+
 TEST(FifoSizingTest, CoversBothDirectionsAndTwoIterations) {
   const auto p = scl::stencil::make_jacobi2d(64, 64, 16);
   const TilePlacement a = place({0, 0, 0}, {16, 32, 1},
@@ -129,27 +149,37 @@ TEST(UndersizedFifoTest, SymmetricSendsSurviveViaOpportunisticDrain) {
   ocl::Pipe ab("ab", 4, 2);
   ocl::Pipe ba("ba", 4, 2);
   ocl::GlobalMemory memory(fpga::virtex7_690t());
+  StepTables tables(p, /*unroll=*/1);
+  tables.cycles_per_element = {1.0};
+  tables.depth = {0};
+  // Strips a -> b land in b's low halo; b -> a in a's high halo.
+  const StripBoxes ab_strips = pipe_strip_boxes(p, b, a, Face{0, -1}, 4);
+  const StripBoxes ba_strips = pipe_strip_boxes(p, a, b, Face{0, +1}, 4);
 
-  auto make_params = [&](const TilePlacement& self, const TilePlacement& peer,
-                         int side, ocl::Pipe* out, ocl::Pipe* in) {
+  auto make_params = [&](const TilePlacement& self, int side, ocl::Pipe* out,
+                         const StripBoxes* out_strips, ocl::Pipe* in,
+                         const StripBoxes* in_strips) {
     TileTaskParams params;
     params.program = &p;
+    params.tables = &tables;
     params.mode = SimMode::kTimingOnly;
     params.kind = DesignKind::kHeterogeneous;
     params.tile = self;
-    params.neighbors[0][static_cast<std::size_t>(side)] = peer;
     params.fused_iterations = 4;
-    params.stage_cycles_per_element = {1.0};
-    params.stage_depth = {0};
     params.memory = &memory;
-    params.out_pipes[0][static_cast<std::size_t>(side)] = out;
-    params.in_pipes[0][static_cast<std::size_t>(side)] = in;
+    const auto ss = static_cast<std::size_t>(side);
+    params.out_pipes[0][ss] = out;
+    params.out_strips[0][ss] = out_strips;
+    params.in_pipes[0][ss] = in;
+    params.in_strips[0][ss] = in_strips;
     return params;
   };
 
   ocl::Runtime runtime;
-  runtime.add_task(std::make_shared<TileTask>(make_params(a, b, 1, &ab, &ba)));
-  runtime.add_task(std::make_shared<TileTask>(make_params(b, a, 0, &ba, &ab)));
+  runtime.add_task(std::make_shared<TileTask>(
+      make_params(a, 1, &ab, &ab_strips, &ba, &ba_strips)));
+  runtime.add_task(std::make_shared<TileTask>(
+      make_params(b, 0, &ba, &ba_strips, &ab, &ab_strips)));
   ASSERT_NO_THROW(runtime.run_all());
   EXPECT_GT(runtime.completion_cycles(), 0);
   // Both directions actually moved whole strips through the tiny FIFOs.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "golden_file.hpp"
 #include "sim/executor.hpp"
 #include "sim/trace.hpp"
 #include "stencil/kernels.hpp"
@@ -123,6 +124,27 @@ TEST(TraceTest, TracingDoesNotPerturbTiming) {
   const SimResult run = exec.run(p, c, SimMode::kTimingOnly);
   EXPECT_GT(trace.region_cycles, 0);
   EXPECT_LE(trace.region_cycles, run.total_cycles);
+}
+
+TEST(TraceTest, EventsMatchTheGoldenFile) {
+  // Every (kernel, phase, begin, end) of the traced region of a baseline
+  // and a heterogeneous design: the trace sink must see exactly the events
+  // and labels the timing path produces, byte for byte.
+  const auto p = scl::stencil::make_jacobi2d(64, 64, 8);
+  const Executor exec(fpga::virtex7_690t());
+  DesignConfig baseline = hetero_config();
+  baseline.kind = DesignKind::kBaseline;
+  std::string out;
+  for (const DesignConfig& c : {baseline, hetero_config()}) {
+    const RegionTrace trace = exec.trace_region(p, c);
+    out += str_cat("== ", to_string(c.kind), " region_cycles=",
+                   trace.region_cycles, "\n");
+    for (const TraceEvent& e : trace.events) {
+      out += str_cat(e.kernel, " ", e.phase, " ", e.begin, " ", e.end, "\n");
+    }
+  }
+  scl::testing_support::expect_matches_golden(SCL_SIM_TRACE_GOLDEN_PATH,
+                                              out);
 }
 
 }  // namespace
