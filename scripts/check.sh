@@ -4,9 +4,10 @@
 # observability outputs, run every bench harness, and exercise the
 # batched synthesis service cold and warm.
 #
-#   --quick   configure + build + ctest + analyzer + observability smoke
-#             only (skips the bench harnesses and the stencild cold/warm
-#             passes); what CI runs as a required step on every build.
+#   --quick   configure + build + ctest + analyzer + codegen_inspect +
+#             observability smoke only (skips the bench harnesses and the
+#             stencild cold/warm passes); what CI runs as a required step
+#             on every build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,6 +50,14 @@ done
 for b in Jacobi-1D Jacobi-2D Jacobi-3D HotSpot-2D HotSpot-3D FDTD-2D FDTD-3D; do
   echo "analyze $b"
   ./build/examples/stencil_compiler "$b" --analyze
+done
+
+# The code-generation inspector verifies what it emits (source text checks
+# plus the pass-4 IR verifier, pipe pairing included) and exits 1 on any
+# error.
+for b in Jacobi-1D Jacobi-2D Jacobi-3D HotSpot-2D HotSpot-3D FDTD-2D FDTD-3D; do
+  echo "codegen_inspect $b"
+  ./build/examples/codegen_inspect "$b" > /dev/null
 done
 
 # Observability smoke: --trace-out must emit valid Chrome trace JSON with

@@ -1,11 +1,14 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "analysis/interval.hpp"
+#include "analysis/ir/lower.hpp"
 #include "arch/temporal_layout.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -19,15 +22,6 @@ using scl::sim::TilePlacement;
 using scl::stencil::StencilProgram;
 
 namespace {
-
-/// The fused-iteration distance `pass_h - it`; the generator emits it
-/// verbatim, so a single substitution turns every bound affine in one
-/// variable with range [0, h-1].
-constexpr const char* kDt = "dt";
-
-std::string substitute_dt(std::string expr) {
-  return replace_all(std::move(expr), "pass_h - it", kDt);
-}
 
 /// Region-origin values worth sampling along dimension d: the first
 /// region, one interior region, and the last region of the host sweep
@@ -53,22 +47,6 @@ std::vector<std::int64_t> dt_samples(const GenContext& ctx) {
   return {0, h - 1};
 }
 
-IntervalEnv make_env(std::int64_t r0, std::int64_t r1, std::int64_t r2,
-                     std::int64_t dt) {
-  IntervalEnv env;
-  env["r0"] = Interval::point(r0);
-  env["r1"] = Interval::point(r1);
-  env["r2"] = Interval::point(r2);
-  env[kDt] = Interval::point(dt);
-  return env;
-}
-
-/// Point-evaluates `expr` (after the dt substitution) under `env`.
-std::int64_t eval_point(const std::string& expr, const IntervalEnv& env) {
-  const Interval v = eval_bound_expr(substitute_dt(expr), env);
-  return v.lo;  // all env entries are points, so lo == hi
-}
-
 /// Emits the one-per-expression "analysis incomplete" diagnostic.
 void report_unparsable(support::DiagnosticEngine* diags, int kernel,
                        const std::string& expr, const std::string& why) {
@@ -79,6 +57,82 @@ void report_unparsable(support::DiagnosticEngine* diags, int kernel,
   diag.location = {"kernel", str_cat("stencil_k", kernel), -1};
   diag.notes.push_back(why);
 }
+
+/// Pass 2's expression environment. Each codegen::LoopBounds string is
+/// lowered once through the pass-4 front end (ir::lower_expression) into
+/// this slot table, then point-evaluated at every sample over a flat
+/// SlotEnv. The generator writes the fused-iteration distance only as
+/// `pass_h - it`, so binding pass_h = h and it = h - dt evaluates it to
+/// dt, in [0, h-1].
+class BoundEnv {
+ public:
+  /// One lowered bound string; `error` is set when it could not be
+  /// lowered.
+  struct Bound {
+    const std::string* text = nullptr;
+    ir::Expr expr;
+    std::string error;
+  };
+
+  explicit BoundEnv(const GenContext& ctx)
+      : h_(ctx.config.fused_iterations) {}
+  BoundEnv(const BoundEnv&) = delete;
+  BoundEnv& operator=(const BoundEnv&) = delete;
+
+  Bound lower(const std::string& text) {
+    Bound bound;
+    bound.text = &text;
+    try {
+      bound.expr = ir::lower_expression(text, &slots_);
+    } catch (const Error& e) {
+      bound.error = e.what();
+    }
+    return bound;
+  }
+
+  /// Binds region origin `origin` along dimension `d` (0 along the
+  /// others) and fused-iteration distance `dt`.
+  void bind(int d, std::int64_t origin, std::int64_t dt) {
+    for (int i = 0; i < 3; ++i) {
+      env_.bind(i, Interval::point(i == d ? origin : 0));
+    }
+    env_.bind(kPassH, Interval::point(h_));
+    env_.bind(kIt, Interval::point(h_ - dt));
+  }
+
+  /// Point-evaluates `bounds` in order at the bound sample. Returns
+  /// nothing after reporting SCL209 for the first bound that could not be
+  /// lowered or evaluated (an unknown variable, say).
+  template <std::size_t N>
+  std::optional<std::array<std::int64_t, N>> eval(
+      const std::array<const Bound*, N>& bounds, int kernel,
+      support::DiagnosticEngine* diags) const {
+    std::array<std::int64_t, N> values{};
+    for (std::size_t i = 0; i < N; ++i) {
+      std::string why = bounds[i]->error;
+      if (why.empty()) {
+        try {
+          // Every bound slot holds a point, so lo == hi.
+          values[i] = ir::eval_expr(bounds[i]->expr, env_).lo;
+          continue;
+        } catch (const Error& e) {
+          why = e.what();
+        }
+      }
+      report_unparsable(diags, kernel, *bounds[i]->text, why);
+      return std::nullopt;
+    }
+    return values;
+  }
+
+ private:
+  static constexpr int kPassH = 3;
+  static constexpr int kIt = 4;
+
+  std::vector<std::string> slots_{"r0", "r1", "r2", "pass_h", "it"};
+  ir::SlotEnv env_{slots_};
+  std::int64_t h_;
+};
 
 int opposite(int side) { return side == 0 ? 1 : 0; }
 
@@ -125,23 +179,21 @@ std::int64_t max_tangential_extent(const AnalysisInput& input, int k,
                                    support::DiagnosticEngine* diags) {
   const GenContext& ctx = input.ctx;
   const LoopBounds bounds = codegen::stage_compute_bounds(ctx, k, stage);
+  BoundEnv env(ctx);
   std::int64_t product = 1;
   for (int dt_dim = 0; dt_dim < ctx.program->dims(); ++dt_dim) {
     if (dt_dim == d) continue;
     const auto ds = static_cast<std::size_t>(dt_dim);
+    const BoundEnv::Bound lo_bound = env.lower(bounds.lo[ds]);
+    const BoundEnv::Bound hi_bound = env.lower(bounds.hi[ds]);
     std::int64_t best = 0;
     for (const std::int64_t origin : origin_samples(ctx, dt_dim)) {
       for (const std::int64_t dt : dt_samples(ctx)) {
-        IntervalEnv env = make_env(0, 0, 0, dt);
-        env[str_cat("r", dt_dim)] = Interval::point(origin);
-        try {
-          const std::int64_t lo = eval_point(bounds.lo[ds], env);
-          const std::int64_t hi = eval_point(bounds.hi[ds], env);
-          best = std::max(best, hi - lo);
-        } catch (const Error& e) {
-          report_unparsable(diags, k, bounds.lo[ds], e.what());
-          return -1;
-        }
+        env.bind(dt_dim, origin, dt);
+        const auto at = env.eval<2>({&lo_bound, &hi_bound}, k, diags);
+        if (!at) return -1;
+        const auto [lo, hi] = *at;
+        best = std::max(best, hi - lo);
       }
     }
     product *= best;
@@ -371,34 +423,30 @@ void check_buffer_bounds(const AnalysisInput& input, int kernel,
                          support::DiagnosticEngine* diags) {
   const GenContext& ctx = input.ctx;
   const StencilProgram& prog = *ctx.program;
+  BoundEnv env(ctx);
   for (int d = 0; d < prog.dims(); ++d) {
     const auto ds = static_cast<std::size_t>(d);
     const std::int64_t grid_hi = prog.grid_box().hi[ds];
-    bool flagged = false;
+    const BoundEnv::Bound lo_bound = env.lower(bounds.lo[ds]);
+    const BoundEnv::Bound hi_bound = env.lower(bounds.hi[ds]);
     for (const std::int64_t origin : origin_samples(ctx, d)) {
-      if (flagged) break;
-      IntervalEnv env = make_env(0, 0, 0, 0);
-      env[str_cat("r", d)] = Interval::point(origin);
-      try {
-        const std::int64_t lo = eval_point(bounds.lo[ds], env);
-        const std::int64_t hi = eval_point(bounds.hi[ds], env);
-        if (hi <= lo) continue;  // empty burst: no access happens
-        if (lo < 0 || hi > grid_hi) {
-          support::Diagnostic& diag = diags->error(
-              "SCL201",
-              str_cat("burst bounds [", lo, ", ", hi, ") along dim ", d,
-                      " escape the grid [0, ", grid_hi, ") at region origin ",
-                      origin));
-          diag.location = {"kernel", kernel_name(kernel), -1};
-          diag.notes.push_back(str_cat("lower bound expression: ",
-                                       bounds.lo[ds]));
-          diag.notes.push_back(str_cat("upper bound expression: ",
-                                       bounds.hi[ds]));
-          flagged = true;
-        }
-      } catch (const Error& e) {
-        report_unparsable(diags, kernel, bounds.lo[ds], e.what());
-        flagged = true;
+      env.bind(d, origin, 0);
+      const auto at = env.eval<2>({&lo_bound, &hi_bound}, kernel, diags);
+      if (!at) break;
+      const auto [lo, hi] = *at;
+      if (hi <= lo) continue;  // empty burst: no access happens
+      if (lo < 0 || hi > grid_hi) {
+        support::Diagnostic& diag = diags->error(
+            "SCL201",
+            str_cat("burst bounds [", lo, ", ", hi, ") along dim ", d,
+                    " escape the grid [0, ", grid_hi, ") at region origin ",
+                    origin));
+        diag.location = {"kernel", kernel_name(kernel), -1};
+        diag.notes.push_back(str_cat("lower bound expression: ",
+                                     bounds.lo[ds]));
+        diag.notes.push_back(str_cat("upper bound expression: ",
+                                     bounds.hi[ds]));
+        break;
       }
     }
   }
@@ -412,33 +460,29 @@ void check_owned_bounds(const AnalysisInput& input, int kernel, int f,
   const GenContext& ctx = input.ctx;
   const StencilProgram& prog = *ctx.program;
   const scl::stencil::Box updated = prog.updated_box(f);
+  BoundEnv env(ctx);
   for (int d = 0; d < prog.dims(); ++d) {
     const auto ds = static_cast<std::size_t>(d);
-    bool flagged = false;
+    const BoundEnv::Bound lo_bound = env.lower(bounds.lo[ds]);
+    const BoundEnv::Bound hi_bound = env.lower(bounds.hi[ds]);
     for (const std::int64_t origin : origin_samples(ctx, d)) {
-      if (flagged) break;
-      IntervalEnv env = make_env(0, 0, 0, 0);
-      env[str_cat("r", d)] = Interval::point(origin);
-      try {
-        const std::int64_t lo = eval_point(bounds.lo[ds], env);
-        const std::int64_t hi = eval_point(bounds.hi[ds], env);
-        if (hi <= lo) continue;
-        if (lo < updated.lo[ds] || hi > updated.hi[ds]) {
-          support::Diagnostic& diag = diags->error(
-              "SCL203",
-              str_cat("burst write of field '", prog.field(f).name,
-                      "' covers [", lo, ", ", hi, ") along dim ", d,
-                      ", outside the updatable region [", updated.lo[ds],
-                      ", ", updated.hi[ds], ") at region origin ", origin));
-          diag.location = {"kernel", kernel_name(kernel), -1};
-          diag.notes.push_back(
-              "cells outside the updatable region are Dirichlet boundary "
-              "and must keep their initial values");
-          flagged = true;
-        }
-      } catch (const Error& e) {
-        report_unparsable(diags, kernel, bounds.hi[ds], e.what());
-        flagged = true;
+      env.bind(d, origin, 0);
+      const auto at = env.eval<2>({&lo_bound, &hi_bound}, kernel, diags);
+      if (!at) break;
+      const auto [lo, hi] = *at;
+      if (hi <= lo) continue;
+      if (lo < updated.lo[ds] || hi > updated.hi[ds]) {
+        support::Diagnostic& diag = diags->error(
+            "SCL203",
+            str_cat("burst write of field '", prog.field(f).name,
+                    "' covers [", lo, ", ", hi, ") along dim ", d,
+                    ", outside the updatable region [", updated.lo[ds],
+                    ", ", updated.hi[ds], ") at region origin ", origin));
+        diag.location = {"kernel", kernel_name(kernel), -1};
+        diag.notes.push_back(
+            "cells outside the updatable region are Dirichlet boundary "
+            "and must keep their initial values");
+        break;
       }
     }
   }
@@ -453,28 +497,34 @@ void check_stage_accesses(const AnalysisInput& input, int kernel, int stage,
   const GenContext& ctx = input.ctx;
   const StencilProgram& prog = *ctx.program;
   const LoopBounds buffer = codegen::buffer_bounds(ctx, kernel);
+  BoundEnv env(ctx);
+  // Per dimension: compute lo, compute hi, buffer lo, buffer hi.
+  std::array<std::array<BoundEnv::Bound, 4>, 3> lowered;
+  for (int d = 0; d < prog.dims(); ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    lowered[ds] = {env.lower(bounds.lo[ds]), env.lower(bounds.hi[ds]),
+                   env.lower(buffer.lo[ds]), env.lower(buffer.hi[ds])};
+  }
   for (const scl::stencil::ReadAccess& access : prog.stage(stage).reads) {
     for (int d = 0; d < prog.dims(); ++d) {
       const auto ds = static_cast<std::size_t>(d);
       const int off = access.offset[ds];
       const std::int64_t ext = static_buffer_extent(ctx, kernel, d);
+      const auto& [lo_bound, hi_bound, buf_lo_bound, buf_hi_bound] =
+          lowered[ds];
       bool flagged = false;
       for (const std::int64_t origin : origin_samples(ctx, d)) {
         if (flagged) break;
         for (const std::int64_t dt : dt_samples(ctx)) {
-          IntervalEnv env = make_env(0, 0, 0, dt);
-          env[str_cat("r", d)] = Interval::point(origin);
-          std::int64_t lo = 0, hi = 0, buf_lo = 0, buf_hi = 0;
-          try {
-            lo = eval_point(bounds.lo[ds], env);
-            hi = eval_point(bounds.hi[ds], env);
-            buf_lo = eval_point(buffer.lo[ds], env);
-            buf_hi = eval_point(buffer.hi[ds], env);
-          } catch (const Error& e) {
-            report_unparsable(diags, kernel, bounds.lo[ds], e.what());
+          env.bind(d, origin, dt);
+          const auto at = env.eval<4>(
+              {&lo_bound, &hi_bound, &buf_lo_bound, &buf_hi_bound}, kernel,
+              diags);
+          if (!at) {
             flagged = true;
             break;
           }
+          const auto [lo, hi, buf_lo, buf_hi] = *at;
           if (hi <= lo) continue;  // no cells computed at this point
           const std::int64_t access_lo = lo + off;
           const std::int64_t access_hi = hi - 1 + off;

@@ -12,19 +12,20 @@
 //      reads, and that undersized channels do not form a blocked-write
 //      cycle (deadlock).
 //   2. Halo & bounds interval analysis — re-derives the generated kernel's
-//      loop-bound expressions (codegen/boundary_gen) and evaluates them
-//      symbolically over the region-origin / fused-iteration ranges to
-//      prove burst reads stay inside the grid, burst writes stay inside
-//      each field's updatable region, and every stage's neighbor accesses
-//      stay inside the kernel's static local-buffer box.
+//      loop-bound expressions (codegen/boundary_gen), lowers each string
+//      once with pass 4's expression front end (ir::lower_expression) and
+//      evaluates it over sampled region origins and fused-iteration
+//      distances to prove burst reads stay inside the grid, burst writes
+//      stay inside each field's updatable region, and every stage's
+//      neighbor accesses stay inside the kernel's static local-buffer box.
 //   3. Resource feasibility cross-check — independently recomputes the
 //      design's buffer and pipe demands and compares them with what
 //      core::estimate_design_resources charged, catching model/codegen
 //      drift before a mis-modeled design wins the DSE.
 //
 // Pass 4 — kernel-IR dataflow analysis of the *emitted* OpenCL text
-// (SCL4xx) — lives in analysis/ir/ and is wired up by
-// core::verify_generated_ir.
+// (SCL4xx, plus the SCL010-SCL016 pipe pairing) — lives in analysis/ir/
+// and is wired up by core::verify_generated_ir.
 //
 // The AnalysisInput is exposed (rather than hidden behind a one-shot
 // entry point) so tests can seed defects — drop a pipe, shrink a FIFO,
@@ -58,9 +59,11 @@ AnalysisInput make_analysis_input(const scl::stencil::StencilProgram& program,
 void analyze_pipe_graph(const AnalysisInput& input,
                         support::DiagnosticEngine* diags);
 
-/// Pass 2: halo & bounds interval analysis (SCL201..SCL209). The optional
-/// `override_bounds` hook lets tests substitute tampered loop bounds for
-/// one kernel; production callers pass nothing.
+/// Pass 2: halo & bounds interval analysis (SCL201..SCL209). Runs the
+/// three check_* entry points below on every kernel's generated bounds.
+/// A bound string that cannot be lowered, or that names a variable other
+/// than r0..r2, pass_h and it, is reported as an SCL209 warning quoting
+/// that string, and the check skips it.
 void analyze_bounds(const AnalysisInput& input,
                     support::DiagnosticEngine* diags);
 

@@ -1,11 +1,7 @@
 #include "analysis/interval.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <limits>
-
-#include "support/error.hpp"
-#include "support/strings.hpp"
 
 namespace scl::analysis {
 
@@ -68,140 +64,6 @@ Interval interval_max(const Interval& a, const Interval& b) {
 
 Interval interval_min(const Interval& a, const Interval& b) {
   return {std::min(a.lo, b.lo), std::min(a.hi, b.hi)};
-}
-
-namespace {
-
-/// Recursive-descent evaluator over the raw expression text. Whitespace is
-/// skipped between tokens; the cursor always rests on the next token start.
-class BoundParser {
- public:
-  BoundParser(std::string_view text, const IntervalEnv& env)
-      : text_(text), env_(env) {}
-
-  Interval parse() {
-    const Interval value = parse_expr();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail(str_cat("trailing input at offset ", pos_));
-    }
-    return value;
-  }
-
- private:
-  Interval parse_expr() {
-    Interval value = parse_term();
-    for (;;) {
-      skip_ws();
-      if (consume('+')) {
-        value = value + parse_term();
-      } else if (consume('-')) {
-        value = value - parse_term();
-      } else {
-        return value;
-      }
-    }
-  }
-
-  Interval parse_term() {
-    Interval value = parse_factor();
-    for (;;) {
-      skip_ws();
-      if (consume('*')) {
-        value = value * parse_factor();
-      } else {
-        return value;
-      }
-    }
-  }
-
-  Interval parse_factor() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of expression");
-    const char c = text_[pos_];
-    if (c == '-') {
-      ++pos_;
-      return Interval::point(0) - parse_factor();
-    }
-    if (c == '(') {
-      ++pos_;
-      const Interval value = parse_expr();
-      expect(')');
-      return value;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::int64_t v = 0;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        v = sat_add(sat_mul(v, 10), text_[pos_] - '0');
-        ++pos_;
-      }
-      return Interval::point(v);
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      const std::string_view name = read_identifier();
-      if (name == "max" || name == "min") {
-        expect('(');
-        const Interval a = parse_expr();
-        expect(',');
-        const Interval b = parse_expr();
-        expect(')');
-        return name == "max" ? interval_max(a, b) : interval_min(a, b);
-      }
-      const auto it = env_.find(name);
-      if (it == env_.end()) {
-        fail(str_cat("unknown variable '", name, "'"));
-      }
-      return it->second;
-    }
-    fail(str_cat("unexpected character '", c, "' at offset ", pos_));
-  }
-
-  std::string_view read_identifier() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_')) {
-      ++pos_;
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (!consume(c)) {
-      fail(str_cat("expected '", c, "' at offset ", pos_));
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw Error(str_cat("cannot parse bound expression '", text_, "': ", why));
-  }
-
-  std::string_view text_;
-  const IntervalEnv& env_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Interval eval_bound_expr(std::string_view expr, const IntervalEnv& env) {
-  return BoundParser(expr, env).parse();
 }
 
 }  // namespace scl::analysis

@@ -1,23 +1,14 @@
-// Interval evaluation of the affine loop-bound expressions emitted by
-// codegen/boundary_gen.
+// Saturating integer interval arithmetic: the value domain every
+// verifier pass evaluates expressions in.
 //
-// The bound language is tiny: integer literals, named runtime variables
-// (r0..r2 region origins, and the pre-substituted fused-iteration distance
-// `pass_h - it`), +, -, * and the OpenCL max()/min() clamps. Every bound
-// the generator emits is a piecewise-affine, monotone expression over
-// those variables, so evaluating it with interval arithmetic — or at the
-// extreme points of each variable's range — bounds the runtime value of
-// the loop bound exactly.
-//
-// The analyzer uses degenerate (point) intervals to evaluate bounds at
-// sampled region origins and iteration distances, and wide intervals for
-// absolute worst-case checks against the grid box.
+// Passes 1-3 lower each codegen::LoopBounds string and pass 4 lowers the
+// emitted kernel source into ir::Expr trees (analysis/ir/lower); both
+// evaluate them with ir::eval_expr over these operators. Point intervals
+// evaluate a bound at one sampled region origin and iteration distance;
+// wide intervals bound a loop variable over its whole range.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <string_view>
 
 namespace scl::analysis {
 
@@ -33,25 +24,12 @@ struct Interval {
   friend bool operator==(const Interval&, const Interval&) = default;
 };
 
+/// Interval arithmetic that saturates at the int64 edges instead of
+/// wrapping, so a result always contains the true range.
 Interval operator+(const Interval& a, const Interval& b);
 Interval operator-(const Interval& a, const Interval& b);
 Interval operator*(const Interval& a, const Interval& b);
 Interval interval_max(const Interval& a, const Interval& b);
 Interval interval_min(const Interval& a, const Interval& b);
-
-/// Variable environment: name -> interval of possible runtime values.
-using IntervalEnv = std::map<std::string, Interval, std::less<>>;
-
-/// Parses and evaluates one loop-bound expression over `env`. The grammar:
-///
-///   expr   := term (('+' | '-') term)*
-///   term   := factor ('*' factor)*
-///   factor := INT | IDENT | '-' factor | '(' expr ')'
-///           | ('max' | 'min') '(' expr ',' expr ')'
-///
-/// Throws scl::Error on a syntax error or an identifier missing from
-/// `env` — the analyzer reports that as an SCL209 diagnostic (analysis
-/// incomplete) rather than silently passing the bound.
-Interval eval_bound_expr(std::string_view expr, const IntervalEnv& env);
 
 }  // namespace scl::analysis

@@ -1,6 +1,7 @@
 #include "analysis/ir/dataflow.hpp"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -632,8 +633,86 @@ void analyze_module(const Module& module, const IrContext& ctx,
   ModuleAnalyzer(module, ctx, diags).run();
 }
 
-void analyze_kernel_source(const std::string& source, const IrContext& ctx,
-                           support::DiagnosticEngine* diags) {
+namespace {
+
+/// The kernels that write and read one pipe, by name.
+struct PipeUsers {
+  std::set<std::string> writers;
+  std::set<std::string> readers;
+};
+
+void collect_pipe_users(const StmtList& stmts, const std::string& kernel,
+                        std::map<std::string, PipeUsers>* users) {
+  for (const Stmt& stmt : stmts) {
+    if (stmt.kind == Stmt::Kind::kPipeWrite) {
+      (*users)[stmt.text].writers.insert(kernel);
+    } else if (stmt.kind == Stmt::Kind::kPipeRead) {
+      (*users)[stmt.text].readers.insert(kernel);
+    }
+    collect_pipe_users(stmt.body, kernel, users);
+  }
+}
+
+std::string join_names(const std::set<std::string>& names) {
+  return join(std::vector<std::string>(names.begin(), names.end()), ", ");
+}
+
+}  // namespace
+
+void check_pipe_pairing(const Module& module,
+                        support::DiagnosticEngine* diags) {
+  std::map<std::string, PipeUsers> users;
+  for (const Kernel& kernel : module.kernels) {
+    collect_pipe_users(kernel.body, kernel.name, &users);
+  }
+  std::set<std::string> declared;
+  for (const PipeChannel& pipe : module.pipes) declared.insert(pipe.name);
+  const auto report = [&](const char* code, const std::string& pipe,
+                          std::string message) {
+    diags->error(code, std::move(message)).location = {"pipe", pipe, -1};
+  };
+  const PipeUsers unused;
+  for (const std::string& p : declared) {
+    const auto it = users.find(p);
+    const PipeUsers& use = it == users.end() ? unused : it->second;
+    if (use.writers.empty()) {
+      report("SCL010", p, str_cat("pipe '", p, "' declared but never written"));
+    }
+    if (use.readers.empty()) {
+      report("SCL011", p, str_cat("pipe '", p, "' declared but never read"));
+    }
+    if (use.writers.size() > 1) {
+      report("SCL014", p,
+             str_cat("pipe '", p, "' written by multiple kernels: ",
+                     join_names(use.writers)));
+    }
+    if (use.readers.size() > 1) {
+      report("SCL015", p,
+             str_cat("pipe '", p, "' read by multiple kernels: ",
+                     join_names(use.readers)));
+    }
+    for (const std::string& k : use.writers) {
+      if (use.readers.count(k) != 0) {
+        report("SCL016", p,
+               str_cat("pipe '", p, "' read and written by the same kernel '",
+                       k, "'"));
+      }
+    }
+  }
+  for (const auto& [p, use] : users) {
+    if (declared.count(p) != 0) continue;
+    if (!use.writers.empty()) {
+      report("SCL012", p, str_cat("pipe '", p, "' written but not declared"));
+    }
+    if (!use.readers.empty()) {
+      report("SCL013", p, str_cat("pipe '", p, "' read but not declared"));
+    }
+  }
+}
+
+std::optional<Module> analyze_kernel_source(
+    const std::string& source, const IrContext& ctx,
+    support::DiagnosticEngine* diags) {
   Module module;
   try {
     module = lower_kernel_source(source);
@@ -644,9 +723,11 @@ void analyze_kernel_source(const std::string& source, const IrContext& ctx,
                 "analysis IR: ",
                 e.what()));
     diag.location = {"source", "stencil_kernels.cl", -1};
-    return;
+    return std::nullopt;
   }
+  check_pipe_pairing(module, diags);
   analyze_module(module, ctx, diags);
+  return module;
 }
 
 }  // namespace scl::analysis::ir

@@ -15,6 +15,9 @@
 //   SCL408  error    __global output argument is never stored to
 //   SCL409  warning  analysis incomplete (unmodeled construct / expression)
 //
+// The point-to-point pipe-pairing check (SCL010-SCL016,
+// check_pipe_pairing) runs over the same lowered module.
+//
 // Soundness strategy: the host sweeps region origins jointly (one
 // (r0, r1, r2, pass_h) tuple per enqueue), so the analyzer evaluates the
 // kernel at the cross product of per-dimension origin samples (first,
@@ -27,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "analysis/ir/ir.hpp"
@@ -65,10 +69,23 @@ IrContext make_ir_context(const scl::stencil::StencilProgram& program,
 void analyze_module(const Module& module, const IrContext& ctx,
                     support::DiagnosticEngine* diags);
 
-/// Convenience: lower `source` and analyze it. A lowering failure
-/// (structurally broken text) is reported as an SCL409 error rather than
-/// thrown, so callers always get diagnostics back.
-void analyze_kernel_source(const std::string& source, const IrContext& ctx,
-                           support::DiagnosticEngine* diags);
+/// Point-to-point pipe pairing over a lowered module, all errors located
+/// at the pipe. Declared pipes are checked in name order, then undeclared
+/// ones:
+///
+///   SCL010  pipe declared, never written   SCL011  pipe declared, never read
+///   SCL012  pipe written, not declared     SCL013  pipe read, not declared
+///   SCL014  pipe written by >1 kernel      SCL015  pipe read by >1 kernel
+///   SCL016  pipe read and written by the same kernel
+void check_pipe_pairing(const Module& module,
+                        support::DiagnosticEngine* diags);
+
+/// Lowers `source`, then runs check_pipe_pairing and analyze_module over
+/// it. A lowering failure (structurally broken text) is reported as an
+/// SCL409 error rather than thrown, so callers always get diagnostics
+/// back. Returns the lowered module, or nothing when lowering failed.
+std::optional<Module> analyze_kernel_source(const std::string& source,
+                                            const IrContext& ctx,
+                                            support::DiagnosticEngine* diags);
 
 }  // namespace scl::analysis::ir

@@ -13,26 +13,6 @@ namespace {
 constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 
-/// Saturating int64 helpers: the evaluator must stay defined even on the
-/// pathological expressions it exists to diagnose.
-std::int64_t sat_add(std::int64_t a, std::int64_t b) {
-  std::int64_t r = 0;
-  if (__builtin_add_overflow(a, b, &r)) {
-    return a > 0 ? std::numeric_limits<std::int64_t>::max()
-                 : std::numeric_limits<std::int64_t>::min();
-  }
-  return r;
-}
-
-std::int64_t sat_mul(std::int64_t a, std::int64_t b) {
-  std::int64_t r = 0;
-  if (__builtin_mul_overflow(a, b, &r)) {
-    return (a > 0) == (b > 0) ? std::numeric_limits<std::int64_t>::max()
-                              : std::numeric_limits<std::int64_t>::min();
-  }
-  return r;
-}
-
 void note_int32_escape(const Interval& v, bool* flag) {
   if (flag != nullptr && (v.lo < kInt32Min || v.hi > kInt32Max)) *flag = true;
 }
@@ -95,7 +75,7 @@ Interval eval_impl(const Expr& expr, const SlotEnv& env,
   bool a_wide = false;
   const Interval a = eval_impl(expr.args[0], env, int32_overflow, &a_wide);
   if (expr.kind == Expr::Kind::kNeg) {
-    const Interval v{sat_mul(a.hi, -1), sat_mul(a.lo, -1)};
+    const Interval v = Interval::point(0) - a;
     *wide = a_wide;
     if (!*wide) note_int32_escape(v, int32_overflow);
     return v;
@@ -105,26 +85,19 @@ Interval eval_impl(const Expr& expr, const SlotEnv& env,
   Interval v;
   switch (expr.kind) {
     case Expr::Kind::kAdd:
-      v = {sat_add(a.lo, b.lo), sat_add(a.hi, b.hi)};
+      v = a + b;
       break;
     case Expr::Kind::kSub:
-      v = {sat_add(a.lo, sat_mul(b.hi, -1)),
-           sat_add(a.hi, sat_mul(b.lo, -1))};
+      v = a - b;
       break;
-    case Expr::Kind::kMul: {
-      const std::int64_t p1 = sat_mul(a.lo, b.lo);
-      const std::int64_t p2 = sat_mul(a.lo, b.hi);
-      const std::int64_t p3 = sat_mul(a.hi, b.lo);
-      const std::int64_t p4 = sat_mul(a.hi, b.hi);
-      v = {std::min(std::min(p1, p2), std::min(p3, p4)),
-           std::max(std::max(p1, p2), std::max(p3, p4))};
+    case Expr::Kind::kMul:
+      v = a * b;
       break;
-    }
     case Expr::Kind::kMin:
-      v = {std::min(a.lo, b.lo), std::min(a.hi, b.hi)};
+      v = interval_min(a, b);
       break;
     case Expr::Kind::kMax:
-      v = {std::max(a.lo, b.lo), std::max(a.hi, b.hi)};
+      v = interval_max(a, b);
       break;
     case Expr::Kind::kDiv:
     case Expr::Kind::kMod: {

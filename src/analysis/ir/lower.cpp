@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "frontend/lexer.hpp"
@@ -243,13 +242,30 @@ bool nested_bounds_use_slot(const StmtList& stmts, int slot) {
 
 /// Recursive-descent lowering of the expanded token stream into a
 /// Module. Every name the analyzer looks up per environment is resolved
-/// here, once: variables to Module::slots indices, array references to
-/// their kernel's buffers and arguments, pipe calls to declarations, and
-/// each loop's two static facts.
+/// here, once: variables to slot indices, array references to their
+/// kernel's buffers and arguments, pipe calls to declarations, and each
+/// loop's two static facts.
 class Lowerer {
  public:
-  explicit Lowerer(const std::vector<Token>* tokens) : cur_(tokens) {}
+  /// Lowers a whole source: variables resolve into Module::slots.
+  explicit Lowerer(const std::vector<Token>* tokens)
+      : Lowerer(tokens, &module_.slots) {}
+  /// Lowers a standalone expression: variables resolve into `slots`.
+  Lowerer(const std::vector<Token>* tokens, std::vector<std::string>* slots)
+      : cur_(tokens), slots_(slots) {}
 
+  /// Lowers one integer expression that must span the whole token stream.
+  Expr lower_expression() {
+    Expr expr = parse_expr();
+    if (!cur_.at_end()) {
+      throw Error(str_cat("unexpected token '", cur_.peek().text,
+                          "' after integer expression at line ",
+                          cur_.peek().line));
+    }
+    return expr;
+  }
+
+  /// Lowers a whole kernel-source file.
   Module lower() {
     while (!cur_.at_end()) {
       const Token& tok = cur_.peek();
@@ -279,11 +295,13 @@ class Lowerer {
   }
 
  private:
+  /// A slot table holds a handful of names (at most 8 for the paper
+  /// suite's emitted sources), so a linear search needs no second index.
   int slot(const std::string& name) {
-    const auto [it, added] =
-        slot_ids_.try_emplace(name, static_cast<int>(module_.slots.size()));
-    if (added) module_.slots.push_back(name);
-    return it->second;
+    const auto it = std::find(slots_->begin(), slots_->end(), name);
+    if (it != slots_->end()) return static_cast<int>(it - slots_->begin());
+    slots_->push_back(name);
+    return static_cast<int>(slots_->size()) - 1;
   }
 
   // ---- integer expressions ----------------------------------------------
@@ -616,7 +634,7 @@ class Lowerer {
 
   Cursor cur_;
   Module module_;
-  std::unordered_map<std::string, int> slot_ids_;
+  std::vector<std::string>* slots_;
 };
 
 }  // namespace
@@ -628,6 +646,12 @@ Module lower_kernel_source(const std::string& source) {
   tokens.reserve(raw.size() * 2);
   expand(raw.data(), raw.data() + raw.size(), macros, 0, &tokens);
   return Lowerer(&tokens).lower();
+}
+
+Expr lower_expression(const std::string& text,
+                      std::vector<std::string>* slots) {
+  const std::vector<Token> tokens = scl::frontend::tokenize(text);
+  return Lowerer(&tokens, slots).lower_expression();
 }
 
 }  // namespace scl::analysis::ir

@@ -13,9 +13,14 @@
 // dataflow pass reports as SCL409 so the analysis is never silently
 // partial. Structurally broken text (unterminated kernels, unbalanced
 // parentheses) throws scl::Error.
+//
+// The same integer-expression grammar is the verifier's only expression
+// front end: passes 1-3 lower each codegen::LoopBounds string through
+// lower_expression and evaluate it with ir::eval_expr.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "analysis/ir/ir.hpp"
 
@@ -24,5 +29,13 @@ namespace scl::analysis::ir {
 /// Lowers one emitted kernel-source file. Throws scl::Error when the
 /// text cannot be tokenized or a kernel never closes.
 Module lower_kernel_source(const std::string& source);
+
+/// Lowers one standalone integer expression in the same language (a
+/// codegen::LoopBounds string, say). Variables resolve into `slots`,
+/// which the caller may pre-fill so that its own names keep fixed slots;
+/// a name not yet in the table is appended. Throws scl::Error on a syntax
+/// error or a token after the expression.
+Expr lower_expression(const std::string& text,
+                      std::vector<std::string>* slots);
 
 }  // namespace scl::analysis::ir

@@ -1,9 +1,6 @@
 #include "codegen/validator.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "support/strings.hpp"
@@ -62,80 +59,6 @@ void check_placeholders(const std::string& src,
   }
 }
 
-std::string identifier_at(const std::string& src, std::size_t pos) {
-  std::string name;
-  while (pos < src.size() &&
-         (std::isalnum(static_cast<unsigned char>(src[pos])) ||
-          src[pos] == '_')) {
-    name.push_back(src[pos++]);
-  }
-  return name;
-}
-
-/// Per-kernel pipe usage: which kernels write and read each pipe. Pipes
-/// used outside any kernel body are attributed to the pseudo-kernel
-/// "<global>".
-struct PipeUsage {
-  std::set<std::string> writers;
-  std::set<std::string> readers;
-};
-
-std::map<std::string, PipeUsage> collect_pipe_usage(const std::string& src) {
-  std::map<std::string, PipeUsage> usage;
-  std::string current = "<global>";
-  // The emitter puts the __kernel attribute line and the `void name(`
-  // line separately, so remember seeing __kernel until the name arrives.
-  bool awaiting_name = false;
-  for (const std::string& raw : split(src, '\n')) {
-    const std::string line = trim(raw);
-    std::size_t void_pos = std::string::npos;
-    const std::size_t kernel_pos = line.find("__kernel");
-    if (kernel_pos != std::string::npos) {
-      awaiting_name = true;
-      void_pos = line.find("void", kernel_pos);
-    } else if (awaiting_name && starts_with(line, "void")) {
-      void_pos = 0;
-    }
-    if (awaiting_name && void_pos != std::string::npos) {
-      std::size_t name_pos = void_pos + 4;
-      while (name_pos < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[name_pos]))) {
-        ++name_pos;
-      }
-      const std::string name = identifier_at(line, name_pos);
-      if (!name.empty()) {
-        current = name;
-        awaiting_name = false;
-      }
-    }
-    for (const auto& [call, is_write] :
-         {std::pair{std::string("write_pipe_block("), true},
-          std::pair{std::string("read_pipe_block("), false}}) {
-      std::size_t pos = 0;
-      while ((pos = line.find(call, pos)) != std::string::npos) {
-        pos += call.size();
-        const std::string pipe = identifier_at(line, pos);
-        if (pipe.empty()) continue;
-        if (is_write) {
-          usage[pipe].writers.insert(current);
-        } else {
-          usage[pipe].readers.insert(current);
-        }
-      }
-    }
-  }
-  return usage;
-}
-
-std::string join_kernels(const std::set<std::string>& kernels) {
-  std::string out;
-  for (const std::string& k : kernels) {
-    if (!out.empty()) out += ", ";
-    out += k;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::vector<Diagnostic> validate_kernel_source(const std::string& src) {
@@ -144,71 +67,6 @@ std::vector<Diagnostic> validate_kernel_source(const std::string& src) {
   check_balance(src, &issues, '(', ')', "parentheses");
   check_balance(src, &issues, '[', ']', "brackets");
   check_placeholders(src, &issues);
-
-  std::set<std::string> declared;
-  for (const std::string& line : split(src, '\n')) {
-    const std::string trimmed = trim(line);
-    if (starts_with(trimmed, "pipe float ")) {
-      const std::string name = identifier_at(trimmed, 11);
-      if (!name.empty()) declared.insert(name);
-    }
-  }
-
-  // Pipes are point-to-point channels: exactly one kernel writes each,
-  // exactly one *other* kernel reads each. Usage is attributed per
-  // enclosing kernel, so a same-kernel read/write pair no longer passes
-  // as "used both ways".
-  const std::map<std::string, PipeUsage> usage = collect_pipe_usage(src);
-  auto pipe_diag = [&](std::string code, std::string message,
-                       const std::string& pipe) {
-    Diagnostic diag = make_error(std::move(code), std::move(message));
-    diag.location = {"pipe", pipe, -1};
-    issues.push_back(std::move(diag));
-  };
-  for (const std::string& p : declared) {
-    const auto it = usage.find(p);
-    const bool written = it != usage.end() && !it->second.writers.empty();
-    const bool read = it != usage.end() && !it->second.readers.empty();
-    if (!written) {
-      pipe_diag("SCL010", str_cat("pipe '", p, "' declared but never written"),
-                p);
-    }
-    if (!read) {
-      pipe_diag("SCL011", str_cat("pipe '", p, "' declared but never read"),
-                p);
-    }
-    if (it == usage.end()) continue;
-    if (it->second.writers.size() > 1) {
-      pipe_diag("SCL014",
-                str_cat("pipe '", p, "' written by multiple kernels: ",
-                        join_kernels(it->second.writers)),
-                p);
-    }
-    if (it->second.readers.size() > 1) {
-      pipe_diag("SCL015",
-                str_cat("pipe '", p, "' read by multiple kernels: ",
-                        join_kernels(it->second.readers)),
-                p);
-    }
-    for (const std::string& k : it->second.writers) {
-      if (it->second.readers.count(k) != 0) {
-        pipe_diag("SCL016",
-                  str_cat("pipe '", p, "' read and written by the same "
-                          "kernel '", k, "'"),
-                  p);
-      }
-    }
-  }
-  for (const auto& [p, use] : usage) {
-    if (declared.count(p) != 0) continue;
-    if (!use.writers.empty()) {
-      pipe_diag("SCL012", str_cat("pipe '", p, "' written but not declared"),
-                p);
-    }
-    if (!use.readers.empty()) {
-      pipe_diag("SCL013", str_cat("pipe '", p, "' read but not declared"), p);
-    }
-  }
   return issues;
 }
 

@@ -1,18 +1,14 @@
-// Structural validator for generated sources.
+// Text-level validator for generated sources.
 //
-// Not a compiler: a fast token-level checker that catches the classes of
-// generator bugs that matter — unbalanced delimiters, unexpanded formula
-// placeholders, pipes that are declared but never used (or used but never
-// declared), and broken point-to-point pipe pairing (a pipe must be
-// written by exactly one kernel and read by exactly one *other* kernel).
-//
-// Problems are reported as support::Diagnostic entries with SCL0xx codes:
+// Not a compiler: a fast character scan for two generator bugs that are
+// properties of the raw text, which lowering cannot see. The host C++ is
+// never lowered, and the kernel lowering drops comments (where a stray
+// `$` would still be a generator bug):
 //
 //   SCL001  unbalanced delimiters          SCL002  unexpanded placeholder
-//   SCL010  pipe declared, never written   SCL011  pipe declared, never read
-//   SCL012  pipe written, not declared     SCL013  pipe read, not declared
-//   SCL014  pipe written by >1 kernel      SCL015  pipe read by >1 kernel
-//   SCL016  pipe read and written by the same kernel
+//
+// Pipe pairing (SCL010-SCL016) runs on the lowered kernel module instead
+// (analysis::ir::check_pipe_pairing, wired up by core::verify_generated_ir).
 #pragma once
 
 #include <string>
@@ -22,12 +18,13 @@
 
 namespace scl::codegen {
 
-/// Checks a generated kernel translation unit. Returns the list of
-/// problems found (empty = clean).
+/// Checks a generated kernel translation unit (braces, parentheses,
+/// brackets, placeholders). Returns the list of problems found (empty =
+/// clean).
 std::vector<support::Diagnostic> validate_kernel_source(
     const std::string& src);
 
-/// Checks generated host source (delimiters and placeholders only).
+/// Checks generated host source (braces, parentheses, placeholders).
 std::vector<support::Diagnostic> validate_host_source(const std::string& src);
 
 }  // namespace scl::codegen

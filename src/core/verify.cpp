@@ -1,10 +1,10 @@
 #include "core/verify.hpp"
 
+#include <optional>
+
 #include "analysis/ir/dataflow.hpp"
-#include "analysis/ir/lower.hpp"
 #include "codegen/validator.hpp"
 #include "support/observability/observability.hpp"
-#include "support/strings.hpp"
 
 namespace scl::core {
 
@@ -78,26 +78,15 @@ IrVerifyStats verify_generated_ir(const scl::stencil::StencilProgram& program,
   IrVerifyStats stats;
   stats.ran = true;
   support::DiagnosticEngine local;
-  analysis::ir::Module module;
-  bool lowered = false;
-  try {
-    module = analysis::ir::lower_kernel_source(code.kernel_source);
-    lowered = true;
-  } catch (const Error& e) {
-    support::Diagnostic& diag = local.error(
-        "SCL409", str_cat("emitted kernel source could not be lowered to "
-                          "the analysis IR: ",
-                          e.what()));
-    diag.location = {"source", "stencil_kernels.cl", -1};
-  }
-  if (lowered) {
-    stats.kernels_lowered = static_cast<std::int64_t>(module.kernels.size());
-    stats.pipes_checked = static_cast<std::int64_t>(module.pipes.size());
+  const std::optional<analysis::ir::Module> module =
+      analysis::ir::analyze_kernel_source(
+          code.kernel_source, analysis::ir::make_ir_context(program, config),
+          &local);
+  if (module) {
+    stats.kernels_lowered = static_cast<std::int64_t>(module->kernels.size());
+    stats.pipes_checked = static_cast<std::int64_t>(module->pipes.size());
     stats.unmodeled_constructs =
-        static_cast<std::int64_t>(module.unmodeled.size());
-    const analysis::ir::IrContext ctx =
-        analysis::ir::make_ir_context(program, config);
-    analysis::ir::analyze_module(module, ctx, &local);
+        static_cast<std::int64_t>(module->unmodeled.size());
   }
   stats.errors = local.error_count();
   stats.warnings = local.warning_count();

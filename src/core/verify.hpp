@@ -2,9 +2,9 @@
 //
 // The analysis library sits below core/, so it cannot call the resource
 // estimator itself; this wrapper computes what the model charged a design
-// and feeds it to the analyzer's resource cross-check, then (optionally)
-// runs the generated-source validator over emitted code and merges its
-// SCL0xx diagnostics into the same engine.
+// and feeds it to the analyzer's resource cross-check. The emitted code
+// gets the validator's text checks (verify_generated_sources) and the
+// pass-4 IR verifier (verify_generated_ir).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +46,8 @@ support::DiagnosticEngine verify_design(
     const sim::DesignConfig& config, const fpga::DeviceSpec& device,
     const DesignResources& resources);
 
-/// Appends the generated-source validator's SCL0xx diagnostics for
-/// `code` to `diags`.
+/// Appends the generated-source validator's text checks for `code`
+/// (SCL001 delimiters, SCL002 placeholders) to `diags`.
 void verify_generated_sources(const codegen::GeneratedCode& code,
                               support::DiagnosticEngine* diags);
 
@@ -63,8 +63,9 @@ struct IrVerifyStats {
 };
 
 /// Pass 4: lowers the emitted kernel source to the analysis IR and runs
-/// the SCL4xx abstract-interpretation checks (analysis/ir/dataflow) over
-/// it; diagnostics are appended to `diags`.
+/// the pipe-pairing checks (SCL010-SCL016) and the SCL4xx
+/// abstract-interpretation checks (analysis/ir/dataflow) over it;
+/// diagnostics are appended to `diags`.
 IrVerifyStats verify_generated_ir(const scl::stencil::StencilProgram& program,
                                   const sim::DesignConfig& config,
                                   const codegen::GeneratedCode& code,

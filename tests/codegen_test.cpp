@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "analysis/ir/dataflow.hpp"
+#include "analysis/ir/lower.hpp"
 #include "codegen/boundary_gen.hpp"
 #include "codegen/context.hpp"
 #include "codegen/opencl_emitter.hpp"
@@ -14,6 +16,15 @@ namespace {
 
 using scl::sim::DesignConfig;
 using scl::sim::DesignKind;
+
+/// The pipe-pairing diagnostics (SCL010-SCL016) of a kernel source: the
+/// source is lowered to the analysis IR and the pairing check runs on it.
+std::vector<scl::support::Diagnostic> pairing_issues(const std::string& src) {
+  scl::support::DiagnosticEngine diags;
+  scl::analysis::ir::check_pipe_pairing(
+      scl::analysis::ir::lower_kernel_source(src), &diags);
+  return diags.diagnostics();
+}
 
 DesignConfig hetero2d(std::int64_t h, int k, std::int64_t w,
                       std::int64_t shrink = 0) {
@@ -174,6 +185,9 @@ TEST_P(EmitterTest, GeneratesStructurallyValidCode) {
   for (const auto& issue : validate_kernel_source(code.kernel_source)) {
     ADD_FAILURE() << GetParam() << " kernel: " << issue.message;
   }
+  for (const auto& issue : pairing_issues(code.kernel_source)) {
+    ADD_FAILURE() << GetParam() << " pipes: " << issue.message;
+  }
   for (const auto& issue : validate_host_source(code.host_source)) {
     ADD_FAILURE() << GetParam() << " host: " << issue.message;
   }
@@ -219,6 +233,9 @@ TEST(EmitterTest, BaselineKernelHasNoPipes) {
   for (const auto& issue : validate_kernel_source(code.kernel_source)) {
     ADD_FAILURE() << issue.message;
   }
+  for (const auto& issue : pairing_issues(code.kernel_source)) {
+    ADD_FAILURE() << issue.message;
+  }
 }
 
 TEST(EmitterTest, FormulaAppearsWithLocalBufferIndexing) {
@@ -260,8 +277,8 @@ TEST(ValidatorTest, DetectsLeftoverPlaceholder) {
 TEST(ValidatorTest, DetectsOrphanPipes) {
   const std::string src =
       "pipe float p_a __attribute__((xcl_reqd_pipe_depth(16)));\n"
-      "void f() { float v; write_pipe_block(p_b, &v); }\n";
-  const auto issues = validate_kernel_source(src);
+      "__kernel void f() { float v; write_pipe_block(p_b, &v); }\n";
+  const auto issues = pairing_issues(src);
   bool undeclared = false, unwritten = false;
   for (const auto& i : issues) {
     if (i.message.find("p_b") != std::string::npos) undeclared = true;
@@ -278,16 +295,17 @@ TEST(ValidatorTest, CleanSourcePasses) {
       "__kernel void k0() { float v; write_pipe_block(p, &v); }\n"
       "__kernel void k1() { float v; read_pipe_block(p, &v); }\n";
   EXPECT_TRUE(validate_kernel_source(src).empty());
+  EXPECT_TRUE(pairing_issues(src).empty());
 }
 
 TEST(ValidatorTest, DetectsSameKernelReadWrite) {
-  // The pre-fix validator only matched read/write tokens globally, so a
-  // kernel talking to itself through a pipe passed as "used both ways".
+  // Usage is attributed per kernel, so a kernel talking to itself through
+  // a pipe does not pass as "used both ways".
   const std::string src =
       "pipe float p __attribute__((xcl_reqd_pipe_depth(16)));\n"
       "__kernel void k0() { float v; write_pipe_block(p, &v); "
       "read_pipe_block(p, &v); }\n";
-  const auto issues = validate_kernel_source(src);
+  const auto issues = pairing_issues(src);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].code, "SCL016");
   EXPECT_NE(issues[0].message.find("same"), std::string::npos);
@@ -298,7 +316,7 @@ TEST(ValidatorTest, DetectsOrphanDeclaredPipes) {
   const std::string src =
       "pipe float p __attribute__((xcl_reqd_pipe_depth(16)));\n"
       "__kernel void k0() { }\n";
-  const auto issues = validate_kernel_source(src);
+  const auto issues = pairing_issues(src);
   bool unwritten = false, unread = false;
   for (const auto& i : issues) {
     if (i.code == "SCL010") unwritten = true;
@@ -312,7 +330,7 @@ TEST(ValidatorTest, DetectsUndeclaredPipeUse) {
   const std::string src =
       "__kernel void k0() { float v; write_pipe_block(ghost_w, &v); }\n"
       "__kernel void k1() { float v; read_pipe_block(ghost_r, &v); }\n";
-  const auto issues = validate_kernel_source(src);
+  const auto issues = pairing_issues(src);
   bool write_undeclared = false, read_undeclared = false;
   for (const auto& i : issues) {
     if (i.code == "SCL012") write_undeclared = true;
@@ -329,7 +347,7 @@ TEST(ValidatorTest, DetectsMultipleWritersAndReaders) {
       "__kernel void k1() { float v; write_pipe_block(p, &v); }\n"
       "__kernel void k2() { float v; read_pipe_block(p, &v); }\n"
       "__kernel void k3() { float v; read_pipe_block(p, &v); }\n";
-  const auto issues = validate_kernel_source(src);
+  const auto issues = pairing_issues(src);
   bool writers = false, readers = false;
   for (const auto& i : issues) {
     if (i.code == "SCL014") writers = true;
@@ -337,6 +355,16 @@ TEST(ValidatorTest, DetectsMultipleWritersAndReaders) {
   }
   EXPECT_TRUE(writers);
   EXPECT_TRUE(readers);
+  // Wording, severity and location of the pairing diagnostics.
+  ASSERT_EQ(issues.size(), 2u);
+  EXPECT_EQ(issues[0].message, "pipe 'p' written by multiple kernels: k0, k1");
+  EXPECT_EQ(issues[1].message, "pipe 'p' read by multiple kernels: k2, k3");
+  for (const auto& i : issues) {
+    EXPECT_EQ(i.severity, scl::support::Severity::kError);
+    EXPECT_EQ(i.location.component, "pipe");
+    EXPECT_EQ(i.location.detail, "p");
+    EXPECT_EQ(i.location.line, -1);
+  }
 }
 
 TEST(ValidatorTest, DiagnosticsCarryStableCodes) {

@@ -248,6 +248,18 @@ TEST(IrExprTest, FlagsInt32OverflowWithoutSaturatingInt64) {
   EXPECT_FALSE(overflow);
 }
 
+TEST(IrExprTest, ArithmeticIsTheSaturatingIntervalArithmetic) {
+  // a - b subtracts directly: -1 - INT64_MIN saturates to INT64_MAX
+  // instead of losing one to a negate-then-add of b.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const Expr sub = Expr::make(Expr::Kind::kSub, Expr::literal(-1),
+                              Expr::literal(kMin));
+  EXPECT_EQ(eval_expr(sub, SlotEnv{}), Interval::point(kMax));
+  const Expr neg = Expr::make(Expr::Kind::kNeg, Expr::literal(kMin));
+  EXPECT_EQ(eval_expr(neg, SlotEnv{}), Interval::point(kMax));
+}
+
 TEST(IrExprTest, Cast64WidensTheResultButNotTheOperands) {
   // (long)(a) * b is 64-bit device arithmetic: no int32 flag even though
   // the product is huge.

@@ -10,6 +10,7 @@
 #include "arch/family.hpp"
 #include "fpga/device.hpp"
 #include "golden_file.hpp"
+#include "pinned_designs.hpp"
 #include "sim/executor.hpp"
 #include "stencil/kernels.hpp"
 #include "stencil/reference.hpp"
@@ -441,109 +442,8 @@ TEST(ReplicaWaveTest, PipeTilingGainsUntilOneWave) {
 
 // --- golden SimResult counters ----------------------------------------------
 
-/// One pinned design: the DSE winner of one design space for one paper
-/// kernel at paper scale on one device (threads = 1). Pinned here so the
-/// golden test runs no DSE.
-struct PinnedDesign {
-  const char* kernel;
-  const char* device;
-  const char* space;
-  DesignConfig config;
-};
-
-constexpr auto kPipe = arch::DesignFamily::kPipeTiling;
-constexpr auto kTemporal = arch::DesignFamily::kTemporalShift;
-constexpr auto kBase = DesignKind::kBaseline;
-constexpr auto kHet = DesignKind::kHeterogeneous;
-
-const PinnedDesign kPinnedDesigns[] = {
-    {"Jacobi-1D", "xc7vx690t", "baseline",
-     {kPipe, kBase, 512, {16, 1, 1}, {8192, 1, 1}, {0, 0, 0}, 16, 1}},
-    {"Jacobi-1D", "xc7vx690t", "heterogeneous",
-     {kPipe, kHet, 512, {16, 1, 1}, {8192, 1, 1}, {8, 0, 0}, 16, 1}},
-    {"Jacobi-1D", "xc7vx690t", "temporal",
-     {kTemporal, kBase, 256, {1, 1, 1}, {131072, 1, 1}, {0, 0, 0}, 1, 1}},
-    {"Jacobi-2D", "xc7vx690t", "baseline",
-     {kPipe, kBase, 32, {4, 4, 1}, {128, 128, 1}, {0, 0, 0}, 16, 1}},
-    {"Jacobi-2D", "xc7vx690t", "heterogeneous",
-     {kPipe, kHet, 64, {4, 4, 1}, {128, 128, 1}, {8, 8, 0}, 16, 1}},
-    {"Jacobi-2D", "xc7vx690t", "temporal",
-     {kTemporal, kBase, 256, {1, 1, 1}, {2048, 2048, 1}, {0, 0, 0}, 1, 1}},
-    {"Jacobi-3D", "xc7vx690t", "baseline",
-     {kPipe, kBase, 5, {2, 2, 2}, {32, 32, 32}, {0, 0, 0}, 16, 1}},
-    {"Jacobi-3D", "xc7vx690t", "heterogeneous",
-     {kPipe, kHet, 8, {2, 2, 2}, {32, 32, 32}, {0, 0, 0}, 16, 1}},
-    {"Jacobi-3D", "xc7vx690t", "temporal",
-     {kTemporal, kBase, 8, {1, 1, 1}, {1024, 1024, 64}, {0, 0, 0}, 4, 1}},
-    {"HotSpot-2D", "xc7vx690t", "baseline",
-     {kPipe, kBase, 40, {2, 2, 1}, {256, 256, 1}, {0, 0, 0}, 16, 1}},
-    {"HotSpot-2D", "xc7vx690t", "heterogeneous",
-     {kPipe, kHet, 48, {2, 2, 1}, {256, 256, 1}, {0, 0, 0}, 16, 1}},
-    {"HotSpot-2D", "xc7vx690t", "temporal",
-     {kTemporal, kBase, 40, {1, 1, 1}, {4096, 4096, 1}, {0, 0, 0}, 2, 1}},
-    {"HotSpot-3D", "xc7vx690t", "baseline",
-     {kPipe, kBase, 5, {1, 2, 2}, {32, 32, 32}, {0, 0, 0}, 8, 1}},
-    {"HotSpot-3D", "xc7vx690t", "heterogeneous",
-     {kPipe, kHet, 6, {1, 2, 2}, {32, 32, 32}, {0, 0, 0}, 8, 1}},
-    {"HotSpot-3D", "xc7vx690t", "temporal",
-     {kTemporal, kBase, 4, {1, 1, 1}, {4096, 4096, 16}, {0, 0, 0}, 2, 1}},
-    {"FDTD-2D", "xc7vx690t", "baseline",
-     {kPipe, kBase, 40, {2, 2, 1}, {256, 256, 1}, {0, 0, 0}, 16, 1}},
-    {"FDTD-2D", "xc7vx690t", "heterogeneous",
-     {kPipe, kHet, 64, {2, 2, 1}, {256, 256, 1}, {0, 0, 0}, 16, 1}},
-    {"FDTD-2D", "xc7vx690t", "temporal",
-     {kTemporal, kBase, 20, {1, 1, 1}, {2048, 2048, 1}, {0, 0, 0}, 1, 1}},
-    {"FDTD-3D", "xc7vx690t", "baseline",
-     {kPipe, kBase, 6, {1, 2, 2}, {16, 32, 32}, {0, 0, 0}, 8, 1}},
-    {"FDTD-3D", "xc7vx690t", "heterogeneous",
-     {kPipe, kHet, 6, {1, 2, 2}, {16, 32, 32}, {0, 0, 0}, 8, 1}},
-    {"FDTD-3D", "xc7vx690t", "temporal",
-     {kTemporal, kBase, 2, {1, 1, 1}, {2048, 2048, 16}, {0, 0, 0}, 1, 1}},
-    {"Jacobi-1D", "xcu280", "baseline",
-     {kPipe, kBase, 128, {16, 1, 1}, {2048, 1, 1}, {0, 0, 0}, 16, 4}},
-    // No heterogeneous design of Jacobi-1D fits xcu280 (synthesis falls
-    // back to the baseline).
-    {"Jacobi-1D", "xcu280", "temporal",
-     {kTemporal, kBase, 256, {1, 1, 1}, {131072, 1, 1}, {0, 0, 0}, 4, 1}},
-    {"Jacobi-2D", "xcu280", "baseline",
-     {kPipe, kBase, 12, {4, 4, 1}, {128, 128, 1}, {0, 0, 0}, 16, 2}},
-    {"Jacobi-2D", "xcu280", "heterogeneous",
-     {kPipe, kHet, 32, {4, 4, 1}, {128, 128, 1}, {8, 8, 0}, 16, 2}},
-    {"Jacobi-2D", "xcu280", "temporal",
-     {kTemporal, kBase, 4, {1, 1, 1}, {2048, 64, 1}, {0, 0, 0}, 4, 32}},
-    {"Jacobi-3D", "xcu280", "baseline",
-     {kPipe, kBase, 2, {2, 2, 4}, {16, 32, 32}, {0, 0, 0}, 8, 2}},
-    {"Jacobi-3D", "xcu280", "heterogeneous",
-     {kPipe, kHet, 1, {2, 2, 4}, {16, 32, 32}, {0, 0, 2}, 8, 2}},
-    {"Jacobi-3D", "xcu280", "temporal",
-     {kTemporal, kBase, 1, {1, 1, 1}, {1024, 1024, 16}, {0, 0, 0}, 8, 32}},
-    {"HotSpot-2D", "xcu280", "baseline",
-     {kPipe, kBase, 5, {4, 4, 1}, {128, 128, 1}, {0, 0, 0}, 4, 2}},
-    {"HotSpot-2D", "xcu280", "heterogeneous",
-     {kPipe, kHet, 10, {4, 4, 1}, {128, 128, 1}, {2, 2, 0}, 4, 2}},
-    {"HotSpot-2D", "xcu280", "temporal",
-     {kTemporal, kBase, 5, {1, 1, 1}, {4096, 256, 1}, {0, 0, 0}, 2, 16}},
-    {"HotSpot-3D", "xcu280", "baseline",
-     {kPipe, kBase, 2, {2, 2, 4}, {8, 32, 32}, {0, 0, 0}, 4, 2}},
-    {"HotSpot-3D", "xcu280", "heterogeneous",
-     {kPipe, kHet, 1, {2, 2, 4}, {8, 32, 32}, {0, 0, 0}, 4, 2}},
-    {"HotSpot-3D", "xcu280", "temporal",
-     {kTemporal, kBase, 1, {1, 1, 1}, {4096, 4096, 16}, {0, 0, 0}, 8, 8}},
-    {"FDTD-2D", "xcu280", "baseline",
-     {kPipe, kBase, 10, {4, 4, 1}, {64, 64, 1}, {0, 0, 0}, 8, 2}},
-    {"FDTD-2D", "xcu280", "heterogeneous",
-     {kPipe, kHet, 20, {4, 4, 1}, {64, 64, 1}, {4, 4, 0}, 8, 2}},
-    {"FDTD-2D", "xcu280", "temporal",
-     {kTemporal, kBase, 5, {1, 1, 1}, {2048, 64, 1}, {0, 0, 0}, 1, 32}},
-    {"FDTD-3D", "xcu280", "baseline",
-     {kPipe, kBase, 2, {2, 2, 4}, {16, 16, 16}, {0, 0, 0}, 2, 2}},
-    {"FDTD-3D", "xcu280", "heterogeneous",
-     {kPipe, kHet, 1, {2, 2, 4}, {16, 16, 16}, {0, 0, 0}, 2, 2}},
-    {"FDTD-3D", "xcu280", "temporal",
-     {kTemporal, kBase, 1, {1, 1, 1}, {2048, 2048, 8}, {0, 0, 0}, 1, 8}},
-};
-
-std::string render_sim_counters(const PinnedDesign& d, const SimResult& r) {
+std::string render_sim_counters(const scl::testing_support::PinnedDesign& d,
+                                const SimResult& r) {
   const PhaseBreakdown& ph = r.phases;
   return str_cat(d.kernel, " ", d.device, " ", d.space,
                  " total_cycles=", r.total_cycles, " launch=", ph.launch,
@@ -565,7 +465,8 @@ TEST(SimGoldenTest, TimingCountersMatchTheGoldenFile) {
   // suite's per-space winners on a DDR and an HBM part. Any change to the
   // simulator's clock or accounting shows up here line by line.
   std::string out;
-  for (const PinnedDesign& d : kPinnedDesigns) {
+  for (const scl::testing_support::PinnedDesign& d :
+       scl::testing_support::kPinnedDesigns) {
     const StencilProgram program =
         scl::stencil::find_benchmark(d.kernel).make_paper_scale();
     const Executor exec(fpga::find_device(d.device));
